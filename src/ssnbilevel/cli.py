@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import jacobian, newton, oracle, toll
-from .problem import (BilevelProblem, IterateU, PenaltyParams,
-                      quadratic_objective, validate)
+from .problem import (BilevelProblem, DimensionError, IterateU,
+                      PenaltyParams, quadratic_objective, validate)
 from .residual import eval_pi, eval_residual_vec
 
 PARAM_KEYS = ("alpha", "t", "epsilon", "delta", "rho", "p", "beta",
@@ -80,10 +80,14 @@ def load_problem_file(path):
                 if not np.all(np.isfinite(arr)):
                     raise CLIError(f"{path}: objective.{key} non-finite")
         A = _matrix(doc, "A", path)
-        objective = quadratic_objective(
-            Qxx=obj.get("Qxx"), Qxy=obj.get("Qxy"), Qyy=obj.get("Qyy"),
-            kx=obj.get("kx"), ky=obj.get("ky"),
-            const=float(obj.get("const", 0.0)), n=np.atleast_2d(A).shape[1])
+        try:
+            objective = quadratic_objective(
+                Qxx=obj.get("Qxx"), Qxy=obj.get("Qxy"), Qyy=obj.get("Qyy"),
+                kx=obj.get("kx"), ky=obj.get("ky"),
+                const=float(obj.get("const", 0.0)),
+                n=np.atleast_2d(A).shape[1])
+        except DimensionError as exc:
+            raise CLIError(f"{path}: {exc}")
         problem = BilevelProblem(D=_matrix(doc, "D", path),
                                  d=_matrix(doc, "d", path),
                                  A=A, b=_matrix(doc, "b", path),
@@ -215,11 +219,9 @@ def cmd_solve(args):
     schedule = _alpha_schedule(args.alpha_schedule)
 
     if schedule:
-        report = newton.alpha_continuation(problem, start, params, schedule,
-                                           tie_rule=args.tie_rule)
+        report = newton.alpha_continuation(problem, start, params, schedule)
     else:
-        report = newton.solve(problem, start, params,
-                              tie_rule=args.tie_rule)
+        report = newton.solve(problem, start, params)
 
     print(f"{'iter':>5} {'||Phi||':>14} {'merit':>14} {'step':>9} "
           f"{'tau':>10}")
@@ -290,7 +292,7 @@ def cmd_verify(args):
             else:
                 raise
         pi = eval_pi(problem, yg, zg)
-        rep = newton.solve(problem, start, p, tie_rule=args.tie_rule)
+        rep = newton.solve(problem, start, p)
         print(f"alpha = {a:g}: penalized min = {val:.8f}, pi = {pi:.2e}, "
               f"solve F = {rep.objective_value:.8f} "
               f"(||Phi|| = {rep.residual_norm:.2e})")
@@ -319,8 +321,7 @@ def cmd_check_jacobian(args):
         scale = max(1.0, np.abs(J).max())
         worst_fd = max(worst_fd, np.abs(C - J).max() / scale)
         # generalized element as the vanishing-smoothing limit
-        G = jacobian.generalized_element(problem, u, params,
-                                         tie_rule="half").matrix
+        G = jacobian.generalized_element(problem, u, params).matrix
         Geps = jacobian.smoothed_jacobian(
             problem, u, dataclasses.replace(params, epsilon=1e-14))
         worst_limit = max(worst_limit,
@@ -352,8 +353,6 @@ def build_parser():
         p.add_argument("--delta", type=float, default=None,
                        help="residual stopping tolerance")
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--tie-rule", choices=("zero", "half", "one"),
-                       default="half")
         p.add_argument("--alpha-schedule", default=None,
                        help="comma-separated increasing penalty weights")
         p.add_argument("--out", default=None, help="write JSON report here")

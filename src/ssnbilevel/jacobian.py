@@ -2,9 +2,9 @@
 
 Each complementarity row lam_j - max(0, X_j) contributes a selection
 weight p_j: the derivative of max(0, .) taken as 1 where X_j > 0, 0
-where X_j < 0, and a chosen convention at the kink X_j = 0.  Collecting
-one weight per row yields an element of the generalized Jacobian.  The
-smoothed variant replaces max(0, X) by (X + sqrt(X^2 + eps)) / 2, whose
+where X_j < 0, and 1/2 at the kink X_j = 0.  Collecting one weight per
+row yields an element of the generalized Jacobian.  The smoothed
+variant replaces max(0, X) by (X + sqrt(X^2 + eps)) / 2, whose
 classical derivative has the same block structure with effective
 weights p = (1 + X / sqrt(X^2 + eps)) / 2.
 """
@@ -18,17 +18,13 @@ import numpy as np
 from .problem import BilevelProblem, IterateU, PenaltyParams, block_slices
 from .residual import eval_residual_vec, selection_arguments
 
-TIE_RULES = {"zero": 0.0, "half": 0.5, "one": 1.0}
 
-
-def selection_weights(X, tie_rule="half", tie_tol=0.0):
+def selection_weights(X):
     """Per-row derivative selection for max(0, X): 1 on X > 0, 0 on
-    X < 0, and the tie convention on |X| <= tie_tol."""
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
+    X < 0 and 1/2 at the kink X = 0."""
     X = np.asarray(X, float)
-    p = np.where(X > tie_tol, 1.0, 0.0)
-    p[np.abs(X) <= tie_tol] = TIE_RULES[tie_rule]
+    p = np.where(X > 0, 1.0, 0.0)
+    p[X == 0] = 0.5
     return p
 
 
@@ -112,16 +108,15 @@ def _assemble(problem: BilevelProblem, u: IterateU, params: PenaltyParams,
     return C
 
 
-def generalized_element(problem, u, params, tie_rule="half",
-                        tie_tol=0.0) -> JacobianElement:
-    """An element of the generalized Jacobian of Phi at u.
+def generalized_element(problem, u, params) -> JacobianElement:
+    """An element of the generalized Jacobian of Phi at u, with weight
+    1/2 on kink rows.
 
-    Away from kinks (no X_ij exactly zero) the element is unique and
-    tie_rule is irrelevant.
+    Away from kinks (no X_ij exactly zero) the element is unique.
     """
     Xs = selection_arguments(problem, u, params)
-    ps = tuple(selection_weights(X, tie_rule, tie_tol) for X in Xs)
-    ties = tuple(np.abs(X) <= tie_tol for X in Xs)
+    ps = tuple(selection_weights(X) for X in Xs)
+    ties = tuple(X == 0 for X in Xs)
     C = _assemble(problem, u, params, *ps)
     return JacobianElement(matrix=C, p=ps, ties=ties)
 
@@ -146,8 +141,8 @@ def smoothed_residual(problem, u, params):
 
 
 def smoothed_jacobian(problem, u, params):
-    """Classical Jacobian of the smoothed residual (eps > 0), or a
-    generalized element with the 'half' tie rule when eps == 0."""
+    """Classical Jacobian of the smoothed residual (eps > 0), or the
+    generalized element when eps == 0."""
     eps = params.epsilon
     if eps == 0:
         return generalized_element(problem, u, params).matrix
@@ -179,7 +174,7 @@ def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
     return J
 
 
-def merit_gradient(problem, u, params, smoothed=True, tie_rule="half"):
+def merit_gradient(problem, u, params, smoothed=True):
     """Gradient of Psi = 1/2 ||Phi||^2, i.e. C^T Phi for the matching
     Jacobian (smoothed or a generalized element)."""
     if smoothed and params.epsilon > 0:
@@ -187,5 +182,5 @@ def merit_gradient(problem, u, params, smoothed=True, tie_rule="half"):
         C = smoothed_jacobian(problem, u, params)
     else:
         phi = eval_residual_vec(problem, u, params)
-        C = generalized_element(problem, u, params, tie_rule=tie_rule).matrix
+        C = generalized_element(problem, u, params).matrix
     return C.T @ phi

@@ -1,20 +1,20 @@
 """Globalized semismooth Newton method on the penalized residual.
 
-Each iteration selects an element C of the generalized Jacobian of Phi
-at the current iterate (the 'half' tie rule by default) and solves
+Each iteration builds one element C of the generalized Jacobian of Phi
+at the current iterate (weight 1/2 on kink rows) and solves
 C d = -Phi(u) by dense LU with partial pivoting.  The step is kept when
-it passes the descent test
+the factorization is numerically nonsingular (every pivot above 1e-12
+times the matrix infinity norm), d is finite and d passes the descent
+test
 
     grad_Psi(u)^T d <= -rho * ||d||^p_exp,
 
-with Psi = 1/2 ||Phi||^2; if the factorization is numerically singular
-(a pivot below 1e-12 times the matrix infinity norm) the extreme tie
-rules are tried once each, and if every element fails, or the descent
-test fails, the method falls back to the steepest-descent direction
--grad_Psi.  An Armijo backtracking search with factor beta and slope
-fraction sigma picks the step size, restarting from 1 at every outer
-iteration and capped at 60 halvings.  The iteration stops as soon as
-||Phi(u)|| <= delta or after max_iter steps.
+with Psi = 1/2 ||Phi||^2; otherwise the method falls back to the
+steepest-descent direction -grad_Psi.  An Armijo backtracking search
+with factor beta and slope fraction sigma picks the step size,
+restarting from 1 at every outer iteration and capped at 60 halvings.
+The iteration stops as soon as ||Phi(u)|| <= delta or after max_iter
+steps.
 """
 
 from __future__ import annotations
@@ -39,37 +39,28 @@ STATUS_SINGULAR = "singular_unrecoverable"
 STATUS_SCHEDULE_EXHAUSTED = "schedule_exhausted"
 
 
-def newton_direction(problem, u, params, tie_rule="half"):
+def newton_direction(problem, u, params):
     """Direction for one iteration.  Returns (d, grad_psi, used).
 
-    used is 'newton' when some generalized-Jacobian element gives a
-    nonsingular system whose solution passes the descent test
+    used is 'newton' when the generalized-Jacobian element C gives a
+    nonsingular system whose finite solution passes the descent test
     grad_Psi^T d <= -rho ||d||^p; otherwise 'gradient' with
-    d = -grad_psi.  grad_psi = C^T Phi is computed from the element of
-    the requested tie rule, which is the classical merit gradient
+    d = -grad_psi.  grad_psi = C^T Phi is the classical merit gradient
     wherever Phi is differentiable.
     """
     phi = eval_residual_vec(problem, u, params)
-    rules = [tie_rule] + [r for r in ("zero", "one") if r != tie_rule]
-    grad_psi = None
-    for rule in rules:
-        C = generalized_element(problem, u, params, tie_rule=rule).matrix
-        if grad_psi is None:
-            grad_psi = C.T @ phi
-        inf_norm = np.abs(C).sum(axis=1).max()
-        with warnings.catch_warnings():
-            # exact singularity is detected by the pivot test below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(C, check_finite=False)
-        if np.abs(np.diag(lu)).min() <= PIVOT_REL_TOL * inf_norm:
-            continue
+    C = generalized_element(problem, u, params).matrix
+    grad_psi = C.T @ phi
+    inf_norm = np.abs(C).sum(axis=1).max()
+    with warnings.catch_warnings():
+        # exact singularity is detected by the pivot test below
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(C, check_finite=False)
+    if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
         d = scipy.linalg.lu_solve((lu, piv), -phi, check_finite=False)
-        if not np.all(np.isfinite(d)):
-            continue
-        slope = float(grad_psi @ d)
-        if slope <= -params.rho * np.linalg.norm(d) ** params.p_exp:
+        if (np.all(np.isfinite(d)) and float(grad_psi @ d)
+                <= -params.rho * np.linalg.norm(d) ** params.p_exp):
             return d, grad_psi, "newton"
-        break  # solvable but not a descent direction: fall back
     return -grad_psi, grad_psi, "gradient"
 
 
@@ -195,7 +186,7 @@ def _certificates(problem, u, params):
 
 
 def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
-          tie_rule="half", callback=None) -> SolveReport:
+          callback=None) -> SolveReport:
     """Run the globalized semismooth Newton method from u0."""
     u0.check_dims(problem)
     n, l, m = problem.n, problem.l, problem.m
@@ -216,7 +207,7 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
             status = STATUS_CONVERGED
             message = "residual below tolerance"
             break
-        d, grad_psi, kind = newton_direction(problem, u, params, tie_rule)
+        d, grad_psi, kind = newton_direction(problem, u, params)
         if kind == "newton":
             slope = float(grad_psi @ d)
         else:
@@ -253,8 +244,7 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
         certificates=certificates, message=message)
 
 
-def alpha_continuation(problem, u0, params, alphas, tie_rule="half",
-                       pi_tol=1e-8):
+def alpha_continuation(problem, u0, params, alphas, pi_tol=1e-8):
     """Solve for an increasing sequence of penalty weights, warm-starting
     each run at the previous final iterate.
 
@@ -270,7 +260,7 @@ def alpha_continuation(problem, u0, params, alphas, tie_rule="half",
     u = u0
     rep = None
     for a in alphas:
-        rep = solve(problem, u, params.with_alpha(a), tie_rule=tie_rule)
+        rep = solve(problem, u, params.with_alpha(a))
         if rep.penalty_value <= pi_tol:
             rep.message += f" (penalty weight {a} accepted)"
             return rep

@@ -71,6 +71,12 @@ def quadratic_objective(Qxx=None, Qxy=None, Qyy=None, kx=None, ky=None,
     Qyy = np.zeros((n, n)) if Qyy is None else np.asarray(Qyy, float)
     kx = np.zeros(n) if kx is None else np.asarray(kx, float)
     ky = np.zeros(n) if ky is None else np.asarray(ky, float)
+    for name, blk, shape in (("Qxx", Qxx, (n, n)), ("Qxy", Qxy, (n, n)),
+                             ("Qyy", Qyy, (n, n)), ("kx", kx, (n,)),
+                             ("ky", ky, (n,))):
+        if blk.shape != shape:
+            raise DimensionError(f"objective.{name}",
+                                 f"expected shape {shape}, got {blk.shape}")
     Qxx = 0.5 * (Qxx + Qxx.T)
     Qyy = 0.5 * (Qyy + Qyy.T)
     affine = (not Qxx.any()) and (not Qxy.any()) and (not Qyy.any())

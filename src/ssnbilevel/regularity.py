@@ -127,7 +127,7 @@ def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
     counts as singular when its condition number exceeds cond_limit.
     """
     Xs = selection_arguments(problem, u, params)
-    base = [selection_weights(X, "half", 0.0) for X in Xs]
+    base = [selection_weights(X) for X in Xs]
     tie_masks = [np.abs(X) <= tol for X in Xs]
     tie_index = [(fam, j) for fam, mask in enumerate(tie_masks)
                  for j in np.flatnonzero(mask)]

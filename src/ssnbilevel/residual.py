@@ -180,68 +180,21 @@ def assemble_affine_system(problem: BilevelProblem,
     Requires the upper objective to be affine (constant gradients).
     Row order matches ResidualBlocks.ORDER restricted to the smooth
     blocks; column order of X is (x, y, z, r, s) and of Gamma is
-    (lam1, ..., lam7).
+    (lam1, ..., lam7).  The smooth rows of every generalized-Jacobian
+    element are [B1 B2], and v is minus those rows of Phi at u = 0.
     """
+    from .jacobian import generalized_element
+
     if not problem.objective.affine:
         raise ValueError("affine system requires an affine upper objective")
     n, l, m = problem.n, problem.l, problem.m
-    A, D = problem.A, problem.D
-    alpha = params.alpha
-    zero = np.zeros(n)
-    kx = np.asarray(problem.objective.grad_x(zero, zero), float)
-    ky = np.asarray(problem.objective.grad_y(zero, zero), float)
-
-    nX = 2 * n + 3 * l
-    nG = m + 5 * l + n
-    rows = 3 * n + 4 * l
-    B1 = np.zeros((rows, nX))
-    B2 = np.zeros((rows, nG))
-    v = np.zeros(rows)
-
-    # column offsets
-    cy, cz, cr, cs = n, 2 * n, 2 * n + l, 2 * n + 2 * l
-    g1, g2, g3, g4 = 0, m, m + l, m + 2 * l
-    g5, g6, g7 = m + 3 * l, m + 4 * l, m + 4 * l + n
-
-    I_l = np.eye(l)
-    row = 0
-    # d/dx: D' lam1 + lam6 = -kx
-    B2[row:row + n, g1:g1 + m] = D.T
-    B2[row:row + n, g6:g6 + n] = np.eye(n)
-    v[row:row + n] = -kx
-    row += n
-    # d/dy: -alpha A' s + A' lam2 = -ky
-    B1[row:row + n, cs:cs + l] = -alpha * A.T
-    B2[row:row + n, g2:g2 + l] = A.T
-    v[row:row + n] = -ky
-    row += n
-    # d/dz: alpha r + A lam6 - lam3 = 0
-    B1[row:row + l, cr:cr + l] = alpha * I_l
-    B2[row:row + l, g6:g6 + n] = A
-    B2[row:row + l, g3:g3 + l] = -I_l
-    row += l
-    # d/dr: alpha z + lam7 - lam4 = 0
-    B1[row:row + l, cz:cz + l] = alpha * I_l
-    B2[row:row + l, g7:g7 + l] = I_l
-    B2[row:row + l, g4:g4 + l] = -I_l
-    row += l
-    # d/ds: -alpha A y + lam7 - lam5 = -alpha b
-    B1[row:row + l, cy:cy + n] = -alpha * A
-    B2[row:row + l, g7:g7 + l] = I_l
-    B2[row:row + l, g5:g5 + l] = -I_l
-    v[row:row + l] = -alpha * problem.b
-    row += l
-    # A' z + x = 0
-    B1[row:row + n, 0:n] = np.eye(n)
-    B1[row:row + n, cz:cz + l] = A.T
-    row += n
-    # r + s = e
-    B1[row:row + l, cr:cr + l] = I_l
-    B1[row:row + l, cs:cs + l] = I_l
-    v[row:row + l] = 1.0
-    row += l
-
+    rows, nX = 3 * n + 4 * l, 2 * n + 3 * l
+    zero = IterateU.zeros(n, l, m)
+    B = generalized_element(problem, zero, params).matrix[:rows]
+    # 0.0 - phi rather than -phi: rows without a constant term get +0.0
+    v = 0.0 - eval_residual_vec(problem, zero, params)[:rows]
     t = params.t
     t_expanded = np.concatenate([np.full(m, t[0])] +
                                 [np.full(l, t[i]) for i in range(1, 5)])
-    return AffineSystem(B1=B1, B2=B2, v=v, t_expanded=t_expanded)
+    return AffineSystem(B1=B[:, :nX], B2=B[:, nX:], v=v,
+                        t_expanded=t_expanded)

@@ -168,7 +168,7 @@ def test_acceptance_05_jacobian_correctness():
     u = root_ex_fractional(pr, 2.0)  # exact tie on the binding bound row
     import dataclasses
 
-    G = generalized_element(pr, u, params, tie_rule="half").matrix
+    G = generalized_element(pr, u, params).matrix
     Geps = smoothed_jacobian(pr, u, dataclasses.replace(params,
                                                         epsilon=1e-14))
     worst_limit = np.abs(G - Geps).max()

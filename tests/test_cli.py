@@ -94,6 +94,20 @@ def test_nonfinite_entries_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("block, value", [
+    ("Qxx", [[1.0, 0.0], [0.0, 1.0]]),
+    ("kx", [1.0, 2.0]),
+])
+def test_objective_block_shape_rejected(tmp_path, capsys, block, value):
+    """A one-column A fixes n = 1, so a 2x2 Q block or a length-2
+    linear term is a validation failure (exit 2), not a crash."""
+    doc = _box_doc()
+    doc["objective"][block] = value
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert f"objective.{block}" in capsys.readouterr().err
+
+
 def test_param_flags_override_file(tmp_path, capsys):
     path = _write(tmp_path, _box_doc(alpha=30.0))
     rc = cli.main(["solve", path, "--alpha", "31.0", "--max-iter", "5"])

@@ -16,11 +16,7 @@ from conftest import (make_ex_box, make_ex_fractional, random_instance,
 
 def test_selection_weights_rules():
     X = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(selection_weights(X, "half"), [0.0, 0.5, 1.0])
-    assert np.array_equal(selection_weights(X, "zero"), [0.0, 0.0, 1.0])
-    assert np.array_equal(selection_weights(X, "one"), [0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        selection_weights(X, "third")
+    assert np.array_equal(selection_weights(X), [0.0, 0.5, 1.0])
 
 
 def test_smoothed_jacobian_matches_fd():
@@ -55,25 +51,14 @@ def test_generalized_element_is_smoothing_limit():
     pr = make_ex_fractional()
     params = PenaltyParams(alpha=2.0)
     u = root_ex_fractional(pr, 2.0)  # has an exact tie in family 1
-    G = generalized_element(pr, u, params, tie_rule="half").matrix
+    G = generalized_element(pr, u, params).matrix
     Geps = smoothed_jacobian(pr, u,
                              dataclasses.replace(params, epsilon=1e-16))
     assert np.abs(G - Geps).max() <= 1e-6
     # at the tie row the half weight appears on the multiplier diagonal
-    el = generalized_element(pr, u, params, tie_rule="half")
+    el = generalized_element(pr, u, params)
     assert el.p[0][1] == 0.5
     assert el.ties[0][1]
-
-
-def test_tie_rule_changes_only_tied_rows():
-    pr = make_ex_fractional()
-    params = PenaltyParams(alpha=2.0)
-    u = root_ex_fractional(pr, 2.0)
-    C0 = generalized_element(pr, u, params, tie_rule="zero").matrix
-    C1 = generalized_element(pr, u, params, tie_rule="one").matrix
-    diff_rows = np.flatnonzero(np.abs(C0 - C1).max(axis=1) > 0)
-    # exactly the tied complementarity row differs
-    assert diff_rows.shape[0] == 1
 
 
 def test_smoothed_residual_coincides_at_eps_zero():

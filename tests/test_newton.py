@@ -38,6 +38,36 @@ def test_direction_falls_back_on_singular_element():
     assert np.allclose(grad, merit_gradient(pr, u, params, smoothed=False))
 
 
+def test_direction_builds_and_factors_one_element(monkeypatch):
+    """A singular element is not retried: one direction call assembles
+    one element and runs one LU factorization, then falls back."""
+    import scipy.linalg
+
+    from ssnbilevel import newton as newton_mod
+
+    pr = make_ex_fractional()
+    params = PenaltyParams(alpha=2.0)
+    u = root_ex_fractional(pr, 2.0)
+    u.lam4 = np.array([5.0])
+    u.lam5 = np.array([5.0])
+    calls = {"element": 0, "lu": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(newton_mod, "generalized_element",
+                        counted("element", newton_mod.generalized_element))
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        counted("lu", scipy.linalg.lu_factor))
+    d, grad, used = newton_direction(pr, u, params)
+    assert calls == {"element": 1, "lu": 1}
+    assert used == "gradient"
+    assert np.array_equal(d, -grad)
+
+
 def test_line_search_quadratic_merit_full_step():
     # psi(tau) = (1 - tau)^2 / 2 along d = 1 from u = 0
     params = PenaltyParams(alpha=1.0, sigma=0.1)
@@ -121,7 +151,7 @@ def test_singular_unrecoverable_on_merit_stationary_nonroot():
 
     u0 = default_start(pr, [1.2], [0.5])
 
-    def fake_direction(problem, u, params_, tie_rule="half"):
+    def fake_direction(problem, u, params_):
         g = np.zeros(problem.size)
         return -g, g, "gradient"
 
