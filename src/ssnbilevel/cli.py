@@ -49,6 +49,19 @@ def _matrix(obj, key, context):
     return arr
 
 
+def _entry(obj, key, where, convert=None):
+    """obj[key], passed through convert if given; a missing key or a
+    failed conversion raises CLIError naming the entry (where.key)."""
+    if key not in obj:
+        raise CLIError(f"{where}.{key}: missing")
+    if convert is None:
+        return obj[key]
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise CLIError(f"{where}.{key}: not a number: {obj[key]!r}")
+
+
 def load_problem_file(path):
     """Parse a problem JSON file.
 
@@ -95,19 +108,24 @@ def load_problem_file(path):
     elif kind == "toll":
         arcs, tolled, toll_lb = [], [], {}
         for i, arc in enumerate(doc.get("arcs", [])):
+            where = f"{path}:arcs[{i}]"
             _check_keys(arc, ("tail", "head", "cost", "tolled", "toll_lb"),
-                        f"{path}:arcs[{i}]")
-            arcs.append((arc["tail"], arc["head"], float(arc["cost"])))
+                        where)
+            arcs.append((_entry(arc, "tail", where),
+                         _entry(arc, "head", where),
+                         _entry(arc, "cost", where, float)))
             if arc.get("tolled"):
                 tolled.append(i)
                 if "toll_lb" in arc:
-                    toll_lb[i] = float(arc["toll_lb"])
+                    toll_lb[i] = _entry(arc, "toll_lb", where, float)
         od = []
         for i, pair in enumerate(doc.get("od", [])):
-            _check_keys(pair, ("origin", "destination", "demand"),
-                        f"{path}:od[{i}]")
-            od.append((pair["origin"], pair["destination"],
-                       float(pair.get("demand", 1.0))))
+            where = f"{path}:od[{i}]"
+            _check_keys(pair, ("origin", "destination", "demand"), where)
+            od.append((_entry(pair, "origin", where),
+                       _entry(pair, "destination", where),
+                       _entry(pair, "demand", where, float)
+                       if "demand" in pair else 1.0))
         try:
             network = toll.TollNetwork(nodes=doc.get("nodes", []), arcs=arcs,
                                        tolled=tuple(tolled), od_pairs=od,
@@ -305,6 +323,8 @@ def cmd_verify(args):
 
 
 def cmd_check_jacobian(args):
+    if args.points < 1:
+        raise CLIError(f"--points must be at least 1, got {args.points}")
     problem, layout, params, start = _load_instance(args)
     rng = np.random.default_rng(args.seed)
     n, l, m = problem.n, problem.l, problem.m

@@ -7,16 +7,25 @@ row yields an element of the generalized Jacobian.  The smoothed
 variant replaces max(0, X) by (X + sqrt(X^2 + eps)) / 2, whose
 classical derivative has the same block structure with effective
 weights p = (1 + X / sqrt(X^2 + eps)) / 2.
+
+Every element of one problem fits a fixed sparsity pattern that
+depends only on (n, l, m) and the nonzero patterns of A and D (the
+Hessian blocks count as full n x n).  The pattern is built once per
+problem and cached on it (``BilevelProblem.element_pattern``); each
+assembly fills only the values and drops the exact zeros, so the CSR
+matrix stores exactly the nonzero entries of the element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
-from .problem import BilevelProblem, IterateU, PenaltyParams, block_slices
-from .residual import eval_residual_vec, selection_arguments
+from .problem import BilevelProblem, block_slices
+from .residual import ResidualBlocks, eval_residual_vec, selection_arguments
 
 
 def selection_weights(X):
@@ -32,80 +41,126 @@ def selection_weights(X):
 class JacobianElement:
     """One element of the generalized Jacobian with its selections."""
 
-    matrix: np.ndarray
+    sparse: scipy.sparse.csr_array  # stores no zero entries
     p: tuple  # (p1, ..., p5) selection weights per constraint family
     ties: tuple  # boolean masks of kink rows per family
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the element, made on first use."""
+        return self.sparse.toarray()
 
-def _assemble(problem: BilevelProblem, u: IterateU, params: PenaltyParams,
-              p1, p2, p3, p4, p5):
-    """Block assembly shared by the generalized and smoothed Jacobians."""
+
+@dataclass(frozen=True)
+class ElementPattern:
+    """Every position a Jacobian element of one problem can fill.
+
+    indices and indptr are the CSR structure of all those positions;
+    order permutes the values of _values (listed block by block) into
+    that CSR order.  Several blocks repeat the nonzeros of A and D,
+    which are kept with their row indices.
+    """
+
+    shape: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+    order: np.ndarray
+    a_nz: tuple  # (rows, values) of the nonzeros of A
+    d_nz: tuple  # the same for D
+
+
+def element_pattern(problem: BilevelProblem) -> ElementPattern:
+    """Build the fixed sparsity pattern of the problem's elements."""
     n, l, m = problem.n, problem.l, problem.m
-    A, D = problem.A, problem.D
-    obj = problem.objective
-    alpha = params.alpha
-    t = params.t
-    col = block_slices(n, l, m)
+    col = {name: s.start for name, s in block_slices(n, l, m).items()}
+    lengths = (n, n, l, l, l, n, l, m, l, l, l, l)
+    row = dict(zip(ResidualBlocks.ORDER,
+                   np.concatenate(([0], np.cumsum(lengths)))))
+    ai, aj = np.nonzero(problem.A)
+    di, dj = np.nonzero(problem.D)
+    full = np.divmod(np.arange(n * n), n)  # row-major n x n block
+    eye_n, eye_l, eye_m = ((np.arange(k),) * 2 for k in (n, l, m))
+    # (row block, column block, (local rows, local columns)), in the
+    # order in which _values lists the entries
+    blocks = [
+        ("stat_x", "x", full), ("stat_x", "y", full),
+        ("stat_x", "lam1", (dj, di)), ("stat_x", "lam6", eye_n),
+        ("stat_y", "x", full), ("stat_y", "y", full),
+        ("stat_y", "s", (aj, ai)), ("stat_y", "lam2", (aj, ai)),
+        ("stat_z", "r", eye_l), ("stat_z", "lam6", (ai, aj)),
+        ("stat_z", "lam3", eye_l),
+        ("stat_r", "z", eye_l), ("stat_r", "lam7", eye_l),
+        ("stat_r", "lam4", eye_l),
+        ("stat_s", "y", (ai, aj)), ("stat_s", "lam7", eye_l),
+        ("stat_s", "lam5", eye_l),
+        ("eq_primal", "x", eye_n), ("eq_primal", "z", (aj, ai)),
+        ("eq_simplex", "r", eye_l), ("eq_simplex", "s", eye_l),
+        ("comp1", "x", (di, dj)), ("comp1", "lam1", eye_m),
+        ("comp2", "y", (ai, aj)), ("comp2", "lam2", eye_l),
+        ("comp3", "z", eye_l), ("comp3", "lam3", eye_l),
+        ("comp4", "r", eye_l), ("comp4", "lam4", eye_l),
+        ("comp5", "s", eye_l), ("comp5", "lam5", eye_l),
+    ]
+    rows = np.concatenate([row[rb] + i for rb, _, (i, _) in blocks])
+    cols = np.concatenate([col[cb] + j for _, cb, (_, j) in blocks])
     N = problem.size
-    C = np.zeros((N, N))
-    I_n, I_l = np.eye(n), np.eye(l)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
+    return ElementPattern(shape=(N, N), indices=cols[order], indptr=indptr,
+                          order=order,
+                          a_nz=(ai, problem.A[ai, aj]),
+                          d_nz=(di, problem.D[di, dj]))
 
-    row = 0
-    # stat_x
-    C[row:row + n, col["x"]] = obj.hess_xx(u.x, u.y)
-    C[row:row + n, col["y"]] = obj.hess_xy(u.x, u.y)
-    C[row:row + n, col["lam1"]] = D.T
-    C[row:row + n, col["lam6"]] = I_n
-    row += n
-    # stat_y
-    C[row:row + n, col["x"]] = obj.hess_yx(u.x, u.y)
-    C[row:row + n, col["y"]] = obj.hess_yy(u.x, u.y)
-    C[row:row + n, col["s"]] = -alpha * A.T
-    C[row:row + n, col["lam2"]] = A.T
-    row += n
-    # stat_z
-    C[row:row + l, col["r"]] = alpha * I_l
-    C[row:row + l, col["lam6"]] = A
-    C[row:row + l, col["lam3"]] = -I_l
-    row += l
-    # stat_r
-    C[row:row + l, col["z"]] = alpha * I_l
-    C[row:row + l, col["lam7"]] = I_l
-    C[row:row + l, col["lam4"]] = -I_l
-    row += l
-    # stat_s
-    C[row:row + l, col["y"]] = -alpha * A
-    C[row:row + l, col["lam7"]] = I_l
-    C[row:row + l, col["lam5"]] = -I_l
-    row += l
-    # eq_primal
-    C[row:row + n, col["x"]] = I_n
-    C[row:row + n, col["z"]] = A.T
-    row += n
-    # eq_simplex
-    C[row:row + l, col["r"]] = I_l
-    C[row:row + l, col["s"]] = I_l
-    row += l
-    # comp1: lam1 - max(0, lam1 + t1 (Dx - d))
-    C[row:row + m, col["x"]] = -t[0] * p1[:, None] * D
-    C[row:row + m, col["lam1"]] = np.diag(1.0 - p1)
-    row += m
-    # comp2
-    C[row:row + l, col["y"]] = -t[1] * p2[:, None] * A
-    C[row:row + l, col["lam2"]] = np.diag(1.0 - p2)
-    row += l
-    # comp3: argument lam3 - t3 z
-    C[row:row + l, col["z"]] = np.diag(t[2] * p3)
-    C[row:row + l, col["lam3"]] = np.diag(1.0 - p3)
-    row += l
-    # comp4
-    C[row:row + l, col["r"]] = np.diag(t[3] * p4)
-    C[row:row + l, col["lam4"]] = np.diag(1.0 - p4)
-    row += l
-    # comp5
-    C[row:row + l, col["s"]] = np.diag(t[4] * p5)
-    C[row:row + l, col["lam5"]] = np.diag(1.0 - p5)
-    return C
+
+def _values(problem, u, params, ps, pattern):
+    """Values of the element with selection weights ps, in the block
+    order of element_pattern."""
+    n, l = problem.n, problem.l
+    obj = problem.objective
+    alpha, t = params.alpha, params.t
+    p1, p2, p3, p4, p5 = ps
+    ai, av = pattern.a_nz
+    di, dv = pattern.d_nz
+    one_n, one_l = np.ones(n), np.ones(l)
+    return np.concatenate([
+        # stat_x
+        np.ravel(obj.hess_xx(u.x, u.y)), np.ravel(obj.hess_xy(u.x, u.y)),
+        dv, one_n,
+        # stat_y
+        np.ravel(obj.hess_yx(u.x, u.y)), np.ravel(obj.hess_yy(u.x, u.y)),
+        -alpha * av, av,
+        # stat_z, stat_r, stat_s
+        alpha * one_l, av, -one_l,
+        alpha * one_l, one_l, -one_l,
+        -alpha * av, one_l, -one_l,
+        # eq_primal, eq_simplex
+        one_n, av,
+        one_l, one_l,
+        # comp1: lam1 - max(0, lam1 + t1 (Dx - d))
+        -t[0] * p1[di] * dv, 1.0 - p1,
+        # comp2
+        -t[1] * p2[ai] * av, 1.0 - p2,
+        # comp3..comp5: arguments lam_i - t_i (z, r, s)
+        t[2] * p3, 1.0 - p3,
+        t[3] * p4, 1.0 - p4,
+        t[4] * p5, 1.0 - p5,
+    ])
+
+
+def assemble(problem, u, params, ps) -> scipy.sparse.csr_array:
+    """The Jacobian with selection weights ps = (p1, ..., p5) per
+    complementarity family, as a CSR matrix without stored zeros.
+
+    The one assembly path of the generalized element, the smoothed
+    Jacobian and the regularity probe.
+    """
+    pattern = problem.element_pattern
+    data = _values(problem, u, params, ps, pattern)[pattern.order]
+    keep = data != 0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return scipy.sparse.csr_array(
+        (data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
+        shape=pattern.shape)
 
 
 def generalized_element(problem, u, params) -> JacobianElement:
@@ -117,8 +172,8 @@ def generalized_element(problem, u, params) -> JacobianElement:
     Xs = selection_arguments(problem, u, params)
     ps = tuple(selection_weights(X) for X in Xs)
     ties = tuple(X == 0 for X in Xs)
-    C = _assemble(problem, u, params, *ps)
-    return JacobianElement(matrix=C, p=ps, ties=ties)
+    return JacobianElement(sparse=assemble(problem, u, params, ps), p=ps,
+                           ties=ties)
 
 
 def smoothed_residual(problem, u, params):
@@ -140,15 +195,19 @@ def smoothed_residual(problem, u, params):
     return phi
 
 
+def _smoothed_weights(problem, u, params):
+    eps = params.epsilon
+    return tuple(0.5 * (1.0 + X / np.sqrt(X ** 2 + eps))
+                 for X in selection_arguments(problem, u, params))
+
+
 def smoothed_jacobian(problem, u, params):
     """Classical Jacobian of the smoothed residual (eps > 0), or the
-    generalized element when eps == 0."""
-    eps = params.epsilon
-    if eps == 0:
+    generalized element when eps == 0, as a dense array."""
+    if params.epsilon == 0:
         return generalized_element(problem, u, params).matrix
-    Xs = selection_arguments(problem, u, params)
-    ps = tuple(0.5 * (1.0 + X / np.sqrt(X ** 2 + eps)) for X in Xs)
-    return _assemble(problem, u, params, *ps)
+    return assemble(problem, u, params,
+                    _smoothed_weights(problem, u, params)).toarray()
 
 
 def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
@@ -179,8 +238,9 @@ def merit_gradient(problem, u, params, smoothed=True):
     Jacobian (smoothed or a generalized element)."""
     if smoothed and params.epsilon > 0:
         phi = smoothed_residual(problem, u, params)
-        C = smoothed_jacobian(problem, u, params)
+        C = assemble(problem, u, params,
+                     _smoothed_weights(problem, u, params))
     else:
         phi = eval_residual_vec(problem, u, params)
-        C = generalized_element(problem, u, params).matrix
+        C = generalized_element(problem, u, params).sparse
     return C.T @ phi

@@ -1,9 +1,13 @@
 """Globalized semismooth Newton method on the penalized residual.
 
 Each iteration builds one element C of the generalized Jacobian of Phi
-at the current iterate (weight 1/2 on kink rows) and solves
-C d = -Phi(u) by dense LU with partial pivoting.  The step is kept when
-the factorization is numerically nonsingular (every pivot above 1e-12
+at the current iterate (weight 1/2 on kink rows) as a sparse matrix and
+first screens its nonzero pattern: when the pattern admits no perfect
+matching between rows and columns (a maximum transversal, Duff 1981,
+leaves a row unmatched), C is singular for any values of its entries
+and is not factored.  Otherwise C is densified and C d = -Phi(u) is
+solved by LU with partial pivoting.  The step is kept when the
+factorization is numerically nonsingular (every pivot above 1e-12
 times the matrix infinity norm), d is finite and d passes the descent
 test
 
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .jacobian import generalized_element
 from .problem import BilevelProblem, IterateU, PenaltyParams, pack, unpack
@@ -46,16 +51,22 @@ def newton_direction(problem, u, params):
     nonsingular system whose finite solution passes the descent test
     grad_Psi^T d <= -rho ||d||^p; otherwise 'gradient' with
     d = -grad_psi.  grad_psi = C^T Phi is the classical merit gradient
-    wherever Phi is differentiable.
+    wherever Phi is differentiable.  C is factored only when its
+    nonzero pattern admits a perfect matching.
     """
     phi = eval_residual_vec(problem, u, params)
-    C = generalized_element(problem, u, params).matrix
+    element = generalized_element(problem, u, params)
+    C = element.sparse
     grad_psi = C.T @ phi
-    inf_norm = np.abs(C).sum(axis=1).max()
+    # a row left unmatched makes C singular whatever its values
+    if (maximum_bipartite_matching(C, perm_type="column") < 0).any():
+        return -grad_psi, grad_psi, "gradient"
+    # a perfect matching leaves no row empty, as reduceat requires
+    inf_norm = np.add.reduceat(np.abs(C.data), C.indptr[:-1]).max()
     with warnings.catch_warnings():
         # exact singularity is detected by the pivot test below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(C, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(element.matrix, check_finite=False)
     if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
         d = scipy.linalg.lu_solve((lu, piv), -phi, check_finite=False)
         if (np.all(np.isfinite(d)) and float(grad_psi @ d)

@@ -17,6 +17,7 @@ multipliers of the penalized problem's first-order conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,14 @@ class BilevelProblem:
     def size(self):
         """Dimension of the stacked Newton system."""
         return 3 * self.n + 8 * self.l + self.m
+
+    @cached_property
+    def element_pattern(self):
+        """Sparsity pattern shared by every generalized-Jacobian element
+        of this problem, built on first use (see jacobian.py)."""
+        from .jacobian import element_pattern
+
+        return element_pattern(self)
 
 
 #: block names of the stacked variable, in pack order

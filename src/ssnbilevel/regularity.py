@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import _assemble, selection_weights
+from .jacobian import assemble, selection_weights
 from .residual import selection_arguments
 
 FAMILY_NAMES = ("P1", "P2", "P3", "P4", "P5", "Q1", "Q2", "Q3", "Q4", "Q5")
@@ -157,8 +157,7 @@ def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
         else:
             for (fam, j), val in zip(tie_index, assign):
                 ps[fam][j] = val
-        C = _assemble(problem, u, params, *ps)
-        cond = np.linalg.cond(C)
+        cond = np.linalg.cond(assemble(problem, u, params, ps).toarray())
         worst = max(worst, cond)
         tried += 1
         if not np.isfinite(cond) or cond > cond_limit:

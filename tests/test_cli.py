@@ -174,6 +174,47 @@ def test_toll_kind_and_preset(tmp_path, capsys):
     assert rc == 1  # the benchmark start is far from any residual root
 
 
+def _toll_doc():
+    return {
+        "kind": "toll",
+        "nodes": [1, 2, 3],
+        "arcs": [
+            {"tail": 1, "head": 2, "cost": 1.0, "tolled": True},
+            {"tail": 2, "head": 3, "cost": 1.0},
+            {"tail": 1, "head": 3, "cost": 4.0},
+        ],
+        "od": [{"origin": 1, "destination": 3, "demand": 1.0}],
+    }
+
+
+@pytest.mark.parametrize("group, key, value", [
+    ("arcs", "cost", None), ("arcs", "tail", None), ("arcs", "head", None),
+    ("od", "origin", None), ("od", "destination", None),
+    ("arcs", "cost", "cheap"), ("arcs", "toll_lb", "low"),
+    ("od", "demand", "lots"), ("od", "demand", [1.0]),
+])
+def test_toll_entry_missing_or_not_numeric(tmp_path, capsys, group, key,
+                                           value):
+    """A missing key (value None) or a non-numeric cost, bound or demand
+    is a parse error (exit 2) that names the entry, not a traceback."""
+    doc = _toll_doc()
+    if value is None:
+        del doc[group][0][key]
+    else:
+        doc[group][0][key] = value
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert f"{group}[0].{key}" in capsys.readouterr().err
+
+
+def test_check_jacobian_needs_a_point(tmp_path, capsys):
+    path = _write(tmp_path, _box_doc())
+    for points in ("0", "-3"):
+        rc = cli.main(["check-jacobian", path, "--points", points])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+
+
 def test_toll_no_path_is_parse_error(tmp_path, capsys):
     doc = {
         "kind": "toll",

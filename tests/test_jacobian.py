@@ -39,10 +39,13 @@ def test_generalized_element_matches_fd_off_kinks():
     params = PenaltyParams(alpha=2.0, epsilon=0.0)
     for _ in range(5):
         u = random_iterate(pr, rng)  # kinks have measure zero
-        C = generalized_element(pr, u, params).matrix
+        el = generalized_element(pr, u, params)
         J = fd_jacobian(pr, u, params, smoothed=False)
         scale = max(1.0, np.abs(J).max())
-        assert np.abs(C - J).max() / scale <= 1e-6
+        assert np.abs(el.matrix - J).max() / scale <= 1e-6
+        # the sparse element stores exactly the nonzero entries
+        assert np.all(el.sparse.data != 0)
+        assert np.count_nonzero(el.matrix) == el.sparse.nnz
 
 
 def test_generalized_element_is_smoothing_limit():

@@ -1,16 +1,24 @@
 """Globalized Newton iteration: directions, line search, statuses."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from ssnbilevel import (BilevelProblem, PenaltyParams, alpha_continuation,
-                        default_start, eval_residual_vec, merit_gradient,
-                        newton_direction, quadratic_objective, solve)
-from ssnbilevel.newton import line_search
+                        default_start, eval_residual_vec, generalized_element,
+                        merit_gradient, newton_direction, quadratic_objective,
+                        solve, toll)
+from ssnbilevel import newton as newton_mod
+from ssnbilevel.jacobian import JacobianElement
+from ssnbilevel.newton import PIVOT_REL_TOL, line_search
 from ssnbilevel.problem import pack, unpack
 
-from conftest import (make_ex_box, make_ex_fractional, root_ex_box,
-                      root_ex_fractional)
+from conftest import (make_ex_box, make_ex_fractional, random_instance,
+                      root_ex_box, root_ex_fractional)
 
 
 def test_direction_near_root_is_newton():
@@ -38,34 +46,142 @@ def test_direction_falls_back_on_singular_element():
     assert np.allclose(grad, merit_gradient(pr, u, params, smoothed=False))
 
 
+def _counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_direction_builds_and_factors_one_element(monkeypatch):
     """A singular element is not retried: one direction call assembles
-    one element and runs one LU factorization, then falls back."""
-    import scipy.linalg
-
-    from ssnbilevel import newton as newton_mod
-
+    one element.  Its simplex rows leave the pattern without a perfect
+    matching, so it is not factored either, and the method falls back."""
     pr = make_ex_fractional()
     params = PenaltyParams(alpha=2.0)
     u = root_ex_fractional(pr, 2.0)
     u.lam4 = np.array([5.0])
     u.lam5 = np.array([5.0])
     calls = {"element": 0, "lu": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(newton_mod, "generalized_element",
-                        counted("element", newton_mod.generalized_element))
+                        _counted(calls, "element",
+                                 newton_mod.generalized_element))
     monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        counted("lu", scipy.linalg.lu_factor))
+                        _counted(calls, "lu", scipy.linalg.lu_factor))
     d, grad, used = newton_direction(pr, u, params)
-    assert calls == {"element": 1, "lu": 1}
+    assert calls == {"element": 1, "lu": 0}
     assert used == "gradient"
     assert np.array_equal(d, -grad)
+
+
+def test_direction_pivot_test_rejects_matched_singular_pattern(monkeypatch):
+    """An element whose pattern is full passes the structural screen; if
+    its values are rank deficient, the LU pivot test rejects it.  The
+    point is one where the true element gives a Newton step."""
+    pr = make_ex_fractional()
+    params = PenaltyParams(alpha=2.0)
+    v = pack(root_ex_fractional(pr, 2.0))
+    u = unpack(v + 1e-4 * np.random.default_rng(0).standard_normal(pr.size),
+               pr.n, pr.l, pr.m)
+    assert newton_direction(pr, u, params)[2] == "newton"
+    ones = JacobianElement(
+        sparse=scipy.sparse.csr_array(np.ones((pr.size, pr.size))),
+        p=(), ties=())
+    calls = {"lu": 0}
+    monkeypatch.setattr(newton_mod, "generalized_element",
+                        lambda problem, u, params: ones)
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        _counted(calls, "lu", scipy.linalg.lu_factor))
+    phi = eval_residual_vec(pr, u, params)
+    d, grad, used = newton_direction(pr, u, params)
+    assert calls == {"lu": 1}
+    assert used == "gradient"
+    assert np.allclose(grad, ones.matrix.T @ phi, rtol=1e-12, atol=0)
+    assert np.array_equal(d, -grad)
+
+
+def dense_reference_direction(problem, u, params):
+    """The direction without the structural screen: dense LU of every
+    element, then the pivot, finiteness and descent tests."""
+    phi = eval_residual_vec(problem, u, params)
+    C = generalized_element(problem, u, params).matrix
+    grad = C.T @ phi
+    inf_norm = np.abs(C).sum(axis=1).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(C, check_finite=False)
+    if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
+        d = scipy.linalg.lu_solve((lu, piv), -phi, check_finite=False)
+        if (np.all(np.isfinite(d)) and float(grad @ d)
+                <= -params.rho * np.linalg.norm(d) ** params.p_exp):
+            return d, grad, "newton"
+    return -grad, grad, "gradient"
+
+
+def _first_iterates(problem, u0, params, count=10):
+    """u0 and the iterates of the solve that starts there, up to count
+    points in all."""
+    points = [u0.copy()]
+    solve(problem, u0, dataclasses.replace(params, max_iter=count - 1),
+          callback=lambda k, u, res, kind, tau: points.append(u.copy()))
+    return points
+
+
+def _toll_grid(k, rng):
+    """k x k grid, arcs right and down with integer costs 1..9, a third
+    of them tolled, unit demand from corner to corner."""
+    arcs = []
+    for v in range(k * k):
+        if (v + 1) % k:
+            arcs.append((v, v + 1, float(rng.integers(1, 10))))
+        if v + k < k * k:
+            arcs.append((v, v + k, float(rng.integers(1, 10))))
+    tolled = rng.choice(len(arcs), len(arcs) // 3, replace=False)
+    return toll.TollNetwork(nodes=list(range(k * k)), arcs=arcs,
+                            tolled=tuple(int(a) for a in tolled),
+                            od_pairs=[(0, k * k - 1, 1.0)])
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(11)
+    params = PenaltyParams(alpha=30.0)
+    for _ in range(20):
+        pr = random_instance(rng)
+        x0 = rng.uniform(-pr.d[0], pr.d[1])
+        y0 = rng.uniform(-pr.b[0], pr.b[1])
+        for u in _first_iterates(pr, default_start(pr, [x0], [y0]),
+                                 params):
+            yield pr, u, params
+    for name in ("network1", "network2"):
+        ps = toll.preset(name)
+        yield ps.problem, ps.start, ps.params
+    pr, layout = toll.build_problem(_toll_grid(3, rng))
+    u0 = default_start(pr, layout.costs, np.zeros(pr.n))
+    for u in _first_iterates(pr, u0, params):
+        yield pr, u, params
+    # near the known roots, where the elements are nonsingular
+    for pr, root in ((make_ex_box(), root_ex_box(30.0)),
+                     (make_ex_fractional(), root_ex_fractional(
+                         make_ex_fractional(), 30.0))):
+        for _ in range(5):
+            v = pack(root) + 1e-3 * rng.standard_normal(pr.size)
+            yield pr, unpack(v, pr.n, pr.l, pr.m), params
+
+
+def test_direction_matches_dense_reference():
+    """The structural screen changes which elements are factored, never
+    the direction: same kind, and d and grad within 1e-12 relative."""
+    kinds = []
+    for pr, u, params in _equivalence_cases():
+        d, grad, used = newton_direction(pr, u, params)
+        d_ref, grad_ref, used_ref = dense_reference_direction(pr, u, params)
+        assert used == used_ref
+        for got, ref in ((d, d_ref), (grad, grad_ref)):
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-12 * max(np.linalg.norm(ref), 1e-300))
+        kinds.append(used)
+    assert len(kinds) >= 200
+    assert {"newton", "gradient"} <= set(kinds)
 
 
 def test_line_search_quadratic_merit_full_step():
