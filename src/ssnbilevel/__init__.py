@@ -2,7 +2,7 @@
 leader-priced lower level, plus a toll-pricing model builder."""
 
 from .problem import (BilevelProblem, IterateU, PenaltyParams,
-                      UpperObjective, quadratic_objective, pack, unpack,
+                      QuadraticObjective, quadratic_objective, pack, unpack,
                       validate)
 from .residual import (eval_pi, eval_residual, eval_residual_vec, eval_merit,
                        check_noc, assemble_affine_system)
@@ -19,7 +19,7 @@ from .toll import TollNetwork, preset, build_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilevelProblem", "IterateU", "PenaltyParams", "UpperObjective",
+    "BilevelProblem", "IterateU", "PenaltyParams", "QuadraticObjective",
     "quadratic_objective", "pack", "unpack", "validate",
     "eval_pi", "eval_residual", "eval_residual_vec", "eval_merit",
     "check_noc", "assemble_affine_system",

@@ -35,6 +35,8 @@ class CLIError(Exception):
 
 
 def _check_keys(obj, allowed, context):
+    if not isinstance(obj, dict):
+        raise CLIError(f"{context}: must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise CLIError(f"{context}: unknown keys {sorted(unknown)}")
@@ -47,6 +49,13 @@ def _matrix(obj, key, context):
     if not np.all(np.isfinite(arr)):
         raise CLIError(f"{context}: '{key}' contains non-finite values")
     return arr
+
+
+def _list(doc, key, path):
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise CLIError(f"{path}:{key}: must be a list")
+    return value
 
 
 def _entry(obj, key, where, convert=None):
@@ -107,7 +116,7 @@ def load_problem_file(path):
                                  objective=objective)
     elif kind == "toll":
         arcs, tolled, toll_lb = [], [], {}
-        for i, arc in enumerate(doc.get("arcs", [])):
+        for i, arc in enumerate(_list(doc, "arcs", path)):
             where = f"{path}:arcs[{i}]"
             _check_keys(arc, ("tail", "head", "cost", "tolled", "toll_lb"),
                         where)
@@ -119,7 +128,7 @@ def load_problem_file(path):
                 if "toll_lb" in arc:
                     toll_lb[i] = _entry(arc, "toll_lb", where, float)
         od = []
-        for i, pair in enumerate(doc.get("od", [])):
+        for i, pair in enumerate(_list(doc, "od", path)):
             where = f"{path}:od[{i}]"
             _check_keys(pair, ("origin", "destination", "demand"), where)
             od.append((_entry(pair, "origin", where),
@@ -127,9 +136,9 @@ def load_problem_file(path):
                        _entry(pair, "demand", where, float)
                        if "demand" in pair else 1.0))
         try:
-            network = toll.TollNetwork(nodes=doc.get("nodes", []), arcs=arcs,
-                                       tolled=tuple(tolled), od_pairs=od,
-                                       toll_lb=toll_lb)
+            network = toll.TollNetwork(
+                nodes=_list(doc, "nodes", path), arcs=arcs,
+                tolled=tuple(tolled), od_pairs=od, toll_lb=toll_lb)
             problem, layout = toll.build_problem(network)
         except (ValueError, toll.NoPathError) as exc:
             raise CLIError(f"{path}: {exc}")
@@ -184,10 +193,10 @@ def _load_instance(args):
     params = _build_params(file_params, args)
     if start_doc is not None:
         try:
-            start = IterateU(**{k: np.asarray(start_doc[k], float)
+            start = IterateU(**{k: _matrix(start_doc, k, f"{args.file}:start")
                                 for k in START_KEYS})
             start.check_dims(problem)
-        except Exception as exc:
+        except (TypeError, ValueError) as exc:
             raise CLIError(f"invalid start point: {exc}")
     elif layout is not None:
         start = newton.default_start(problem, layout.costs,

@@ -124,10 +124,9 @@ def _values(problem, u, params, ps, pattern):
     one_n, one_l = np.ones(n), np.ones(l)
     return np.concatenate([
         # stat_x
-        np.ravel(obj.hess_xx(u.x, u.y)), np.ravel(obj.hess_xy(u.x, u.y)),
-        dv, one_n,
+        np.ravel(obj.Qxx), np.ravel(obj.Qxy), dv, one_n,
         # stat_y
-        np.ravel(obj.hess_yx(u.x, u.y)), np.ravel(obj.hess_yy(u.x, u.y)),
+        np.ravel(obj.Qxy.T), np.ravel(obj.Qyy),
         -alpha * av, av,
         # stat_z, stat_r, stat_s
         alpha * one_l, av, -one_l,
@@ -215,7 +214,7 @@ def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
 
     Reference implementation for verification; O(N) residual sweeps.
     """
-    from .problem import pack, unpack
+    from .problem import unpack
 
     n, l, m = problem.n, problem.l, problem.m
     fun = smoothed_residual if smoothed else eval_residual_vec
@@ -223,13 +222,12 @@ def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
     def phi(vec):
         return fun(problem, unpack(vec, n, l, m), params)
 
-    u_vec = pack(u)
-    N = u_vec.shape[0]
+    N = u.vec.shape[0]
     J = np.zeros((N, N))
     for j in range(N):
         e = np.zeros(N)
         e[j] = h
-        J[:, j] = (phi(u_vec + e) - phi(u_vec - e)) / (2 * h)
+        J[:, j] = (phi(u.vec + e) - phi(u.vec - e)) / (2 * h)
     return J
 
 

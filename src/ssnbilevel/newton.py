@@ -31,7 +31,7 @@ import scipy.linalg
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .jacobian import generalized_element
-from .problem import BilevelProblem, IterateU, PenaltyParams, pack, unpack
+from .problem import BilevelProblem, IterateU, PenaltyParams, unpack
 from .residual import eval_merit, eval_pi, eval_residual_vec
 
 MAX_HALVINGS = 60
@@ -75,7 +75,7 @@ def newton_direction(problem, u, params):
     return -grad_psi, grad_psi, "gradient"
 
 
-def line_search(merit, u_vec, direction, psi0, slope, params):
+def line_search(merit, vec, direction, psi0, slope, params):
     """Armijo backtracking: smallest j >= 0 with
     merit(u + beta^j d) <= psi0 + sigma beta^j slope.
 
@@ -84,7 +84,7 @@ def line_search(merit, u_vec, direction, psi0, slope, params):
     """
     tau = 1.0
     for _ in range(MAX_HALVINGS + 1):
-        psi_new = merit(u_vec + tau * direction)
+        psi_new = merit(vec + tau * direction)
         if psi_new <= psi0 + params.sigma * tau * slope:
             return tau, psi_new, True
         tau *= params.beta
@@ -206,7 +206,6 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
         return eval_merit(problem, unpack(vec, n, l, m), params)
 
     u = u0.copy()
-    u_vec = pack(u)
     res = float(np.linalg.norm(eval_residual_vec(problem, u, params)))
     psi = 0.5 * res * res
     iterates = [(0, res, psi, "initial", 0.0)]
@@ -228,15 +227,14 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
                 message = ("merit gradient vanished at a point whose "
                            "residual is above tolerance")
                 break
-        tau, psi_new, accepted = line_search(merit, u_vec, d, psi, slope,
+        tau, psi_new, accepted = line_search(merit, u.vec, d, psi, slope,
                                              params)
         if not accepted:
             status = STATUS_LINESEARCH_STALL
             message = ("line search hit the halving cap without "
                        "sufficient decrease")
             break
-        u_vec = u_vec + tau * d
-        u = unpack(u_vec, n, l, m)
+        u = unpack(u.vec + tau * d, n, l, m)
         res = float(np.linalg.norm(eval_residual_vec(problem, u, params)))
         psi = psi_new
         k += 1

@@ -11,13 +11,17 @@ supply the negated objective.  The stacked Newton variable is
 
 of total length 3n + 8l + m, where z are the lower-level multipliers,
 (r, s) the complementarity-reformulation variables and lam1..lam7 the
-multipliers of the penalized problem's first-order conditions.
+multipliers of the penalized problem's first-order conditions.  It is
+one float vector with a named view per block (:class:`IterateU`, a
+:class:`BlockVector`).  F is quadratic and held as data by
+:class:`QuadraticObjective`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,71 +34,76 @@ class DimensionError(ValueError):
         super().__init__(f"{block}: {message}")
 
 
-class UpperObjective:
-    """Twice continuously differentiable upper-level objective.
+@dataclass(frozen=True, eq=False)
+class QuadraticObjective:
+    """Upper-level objective
 
-    Wraps evaluator callbacks for F, its gradients and Hessian blocks.
-    All callbacks take (x, y) as 1-d numpy arrays of length n.
+        F(x, y) = 1/2 x'Qxx x + x'Qxy y + 1/2 y'Qyy y + kx'x + ky'y + const
+
+    with symmetric Qxx and Qyy, so that its Hessian blocks are the
+    constant matrices Qxx, Qxy, Qxy' and Qyy.  The arrays are read-only
+    copies; build it with :func:`quadratic_objective`, which checks the
+    shapes and symmetrizes Qxx and Qyy.
     """
 
-    def __init__(self, eval, grad_x, grad_y, hess_xx, hess_xy, hess_yy,
-                 affine=False):
-        self.eval = eval
-        self.grad_x = grad_x
-        self.grad_y = grad_y
-        self.hess_xx = hess_xx
-        self.hess_xy = hess_xy
-        self.hess_yy = hess_yy
-        self.affine = bool(affine)
+    Qxx: np.ndarray
+    Qxy: np.ndarray
+    Qyy: np.ndarray
+    kx: np.ndarray
+    ky: np.ndarray
+    const: float = 0.0
 
-    def hess_yx(self, x, y):
-        return np.asarray(self.hess_xy(x, y)).T
+    def __post_init__(self):
+        for name in ("Qxx", "Qxy", "Qyy", "kx", "ky"):
+            arr = np.array(getattr(self, name), float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def affine(self):
+        return not (self.Qxx.any() or self.Qxy.any() or self.Qyy.any())
+
+    def eval(self, x, y):
+        return (0.5 * x @ self.Qxx @ x + x @ self.Qxy @ y
+                + 0.5 * y @ self.Qyy @ y + self.kx @ x + self.ky @ y
+                + self.const)
+
+    def grad_x(self, x, y):
+        return self.Qxx @ x + self.Qxy @ y + self.kx
+
+    def grad_y(self, x, y):
+        return self.Qxy.T @ x + self.Qyy @ y + self.ky
+
+    def hess_xx(self, x, y):
+        return self.Qxx
+
+    def hess_xy(self, x, y):
+        return self.Qxy
+
+    def hess_yy(self, x, y):
+        return self.Qyy
 
 
 def quadratic_objective(Qxx=None, Qxy=None, Qyy=None, kx=None, ky=None,
                         const=0.0, n=None):
-    """Build an UpperObjective for F = 1/2 x'Qxx x + x'Qxy y + 1/2 y'Qyy y
-    + kx'x + ky'y + const.  Missing blocks default to zero."""
+    """Build the QuadraticObjective F = 1/2 x'Qxx x + x'Qxy y
+    + 1/2 y'Qyy y + kx'x + ky'y + const from copies of the given blocks.
+    Missing blocks default to zero; Qxx and Qyy are symmetrized."""
+    given = {"Qxx": Qxx, "Qxy": Qxy, "Qyy": Qyy, "kx": kx, "ky": ky}
     if n is None:
-        for blk in (Qxx, Qxy, Qyy):
-            if blk is not None:
-                n = np.asarray(blk).shape[0]
-                break
-        else:
-            for vec in (kx, ky):
-                if vec is not None:
-                    n = np.asarray(vec).shape[0]
-                    break
-    if n is None:
-        raise DimensionError("objective", "cannot infer n from empty data")
-    Qxx = np.zeros((n, n)) if Qxx is None else np.asarray(Qxx, float)
-    Qxy = np.zeros((n, n)) if Qxy is None else np.asarray(Qxy, float)
-    Qyy = np.zeros((n, n)) if Qyy is None else np.asarray(Qyy, float)
-    kx = np.zeros(n) if kx is None else np.asarray(kx, float)
-    ky = np.zeros(n) if ky is None else np.asarray(ky, float)
-    for name, blk, shape in (("Qxx", Qxx, (n, n)), ("Qxy", Qxy, (n, n)),
-                             ("Qyy", Qyy, (n, n)), ("kx", kx, (n,)),
-                             ("ky", ky, (n,))):
+        first = next((b for b in given.values() if b is not None), None)
+        if first is None:
+            raise DimensionError("objective", "cannot infer n from empty data")
+        n = np.asarray(first).shape[0]
+    blocks = {}
+    for name, blk in given.items():
+        shape = (n, n) if name.startswith("Q") else (n,)
+        blk = np.zeros(shape) if blk is None else np.asarray(blk, float)
         if blk.shape != shape:
             raise DimensionError(f"objective.{name}",
                                  f"expected shape {shape}, got {blk.shape}")
-    Qxx = 0.5 * (Qxx + Qxx.T)
-    Qyy = 0.5 * (Qyy + Qyy.T)
-    affine = (not Qxx.any()) and (not Qxy.any()) and (not Qyy.any())
-
-    def f(x, y):
-        return (0.5 * x @ Qxx @ x + x @ Qxy @ y + 0.5 * y @ Qyy @ y
-                + kx @ x + ky @ y + const)
-
-    return UpperObjective(
-        eval=f,
-        grad_x=lambda x, y: Qxx @ x + Qxy @ y + kx,
-        grad_y=lambda x, y: Qxy.T @ x + Qyy @ y + ky,
-        hess_xx=lambda x, y: Qxx.copy(),
-        hess_xy=lambda x, y: Qxy.copy(),
-        hess_yy=lambda x, y: Qyy.copy(),
-        affine=affine,
-    )
+        blocks[name] = 0.5 * (blk + blk.T) if name in ("Qxx", "Qyy") else blk
+    return QuadraticObjective(**blocks, const=const)
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class BilevelProblem:
     d: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    objective: UpperObjective
+    objective: QuadraticObjective
 
     def __post_init__(self):
         object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, float)))
@@ -144,75 +153,118 @@ BLOCK_ORDER = ("x", "y", "z", "r", "s",
                "lam1", "lam2", "lam3", "lam4", "lam5", "lam6", "lam7")
 
 
+def _lengths(n, l, m):
+    return (n, n, l, l, l, m, l, l, l, l, n, l)
+
+
 def block_lengths(n, l, m):
-    return {"x": n, "y": n, "z": l, "r": l, "s": l,
-            "lam1": m, "lam2": l, "lam3": l, "lam4": l, "lam5": l,
-            "lam6": n, "lam7": l}
+    return dict(zip(BLOCK_ORDER, _lengths(n, l, m)))
+
+
+@lru_cache(maxsize=256)
+def _slices(order, lengths):
+    """Slice of each named block, shared by all vectors of one layout."""
+    return {name: slice(end - length, end)
+            for name, length, end in zip(order, lengths, accumulate(lengths))}
 
 
 def block_slices(n, l, m):
     """Slice of each block inside the packed vector."""
-    lengths = block_lengths(n, l, m)
-    out = {}
-    off = 0
-    for name in BLOCK_ORDER:
-        out[name] = slice(off, off + lengths[name])
-        off += lengths[name]
-    return out
+    return dict(_slices(BLOCK_ORDER, _lengths(n, l, m)))
 
 
-@dataclass
-class IterateU:
+class _Block:
+    """A block of a BlockVector: a view of vec, made on the first read and
+    kept on the instance, so that the residual's ~40 reads are cheap."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        view = obj.__dict__[self.name] = obj.vec[obj._slices[self.name]]
+        return view
+
+
+class BlockVector:
+    """One float vector ``vec`` split into named blocks.
+
+    A subclass lists the block names in ORDER.  Each name reads as a
+    view of vec, and assigning to it writes into vec (the length must
+    match).  vec is never rebound, so the views stay valid.  The keyword
+    constructor takes one array per name and stacks them into a new
+    vector.
+    """
+
+    ORDER = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.ORDER:
+            setattr(cls, name, _Block(name))
+
+    def __init__(self, **blocks):
+        if blocks.keys() != set(self.ORDER):
+            raise TypeError(f"{type(self).__name__} takes exactly the "
+                            f"blocks {', '.join(self.ORDER)}")
+        parts = [np.asarray(blocks[name], float).ravel()
+                 for name in self.ORDER]
+        self._attach(np.concatenate(parts), tuple(len(p) for p in parts))
+
+    def _attach(self, vec, lengths):
+        self.__dict__.update(vec=vec, lengths=lengths,
+                             _slices=_slices(self.ORDER, lengths))
+
+    def __setattr__(self, name, value):
+        if name not in self.ORDER:
+            raise AttributeError(f"{type(self).__name__} has no block "
+                                 f"{name!r}; assign into a block or vec")
+        getattr(self, name)[...] = value
+
+    def __reduce__(self):  # copy and pickle rebuild the views
+        return type(self).wrap, (self.vec, self.lengths)
+
+    @classmethod
+    def wrap(cls, vec, lengths):
+        """Blocks of the given lengths over vec itself, without a copy."""
+        out = cls.__new__(cls)
+        out._attach(vec, tuple(lengths))
+        return out
+
+    def copy(self):
+        return self.wrap(self.vec.copy(), self.lengths)
+
+
+class IterateU(BlockVector):
     """The stacked unknown u = (x, y, z, r, s, lam1..lam7)."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    lam1: np.ndarray
-    lam2: np.ndarray
-    lam3: np.ndarray
-    lam4: np.ndarray
-    lam5: np.ndarray
-    lam6: np.ndarray
-    lam7: np.ndarray
-
-    def __post_init__(self):
-        for name in BLOCK_ORDER:
-            setattr(self, name, np.asarray(getattr(self, name), float).ravel())
+    ORDER = BLOCK_ORDER
 
     @classmethod
     def zeros(cls, n, l, m):
-        lengths = block_lengths(n, l, m)
-        return cls(**{name: np.zeros(lengths[name]) for name in BLOCK_ORDER})
-
-    def copy(self):
-        return IterateU(**{name: getattr(self, name).copy()
-                           for name in BLOCK_ORDER})
+        return cls.wrap(np.zeros(3 * n + 8 * l + m), _lengths(n, l, m))
 
     def check_dims(self, problem):
-        lengths = block_lengths(problem.n, problem.l, problem.m)
-        for name in BLOCK_ORDER:
-            got = getattr(self, name).shape[0]
-            if got != lengths[name]:
+        expected = _lengths(problem.n, problem.l, problem.m)
+        for name, got, want in zip(self.ORDER, self.lengths, expected):
+            if got != want:
                 raise DimensionError(
-                    name, f"expected length {lengths[name]}, got {got}")
+                    name, f"expected length {want}, got {got}")
 
 
 def pack(u: IterateU) -> np.ndarray:
-    """Flatten an iterate into the canonical block order."""
-    return np.concatenate([getattr(u, name) for name in BLOCK_ORDER])
+    """Copy of the iterate's vector, in the canonical block order."""
+    return u.vec.copy()
 
 
 def unpack(vec, n, l, m) -> IterateU:
-    """Inverse of :func:`pack` for given dimensions."""
+    """Inverse of :func:`pack`: an iterate over a copy of vec."""
     vec = np.asarray(vec, float).ravel()
     expected = 3 * n + 8 * l + m
     if vec.shape[0] != expected:
         raise DimensionError("u", f"expected length {expected}, got {vec.shape[0]}")
-    slices = block_slices(n, l, m)
-    return IterateU(**{name: vec[slices[name]].copy() for name in BLOCK_ORDER})
+    return IterateU.wrap(vec.copy(), _lengths(n, l, m))
 
 
 @dataclass
@@ -262,17 +314,8 @@ class PenaltyParams:
         return replace(self, alpha=float(alpha))
 
 
-def _fd_gradient(f, x, h):
-    g = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
-
-def validate(problem: BilevelProblem, rng=None, fd_rel_tol=1e-4):
-    """Check dimension consistency and spot-check objective derivatives.
+def validate(problem: BilevelProblem):
+    """Check that the blocks of the instance fit together.
 
     Returns a (possibly empty) list of diagnostic strings; an empty list
     means the instance is accepted.
@@ -289,44 +332,7 @@ def validate(problem: BilevelProblem, rng=None, fd_rel_tol=1e-4):
         diags.append(f"d: length {problem.d.shape[0]}, D has {m} rows")
     if problem.b.shape[0] != l:
         diags.append(f"b: length {problem.b.shape[0]}, A has {l} rows")
-    if diags:
-        return diags
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    obj = problem.objective
-    scale = max(1.0, float(np.abs(x).max()), float(np.abs(y).max()))
-    h = 1e-6 * scale
-
-    gx = np.asarray(obj.grad_x(x, y), float)
-    gy = np.asarray(obj.grad_y(x, y), float)
-    gx_fd = _fd_gradient(lambda v: obj.eval(v, y), x.copy(), h)
-    gy_fd = _fd_gradient(lambda v: obj.eval(x, v), y.copy(), h)
-    ref = max(1.0, float(np.abs(gx_fd).max()), float(np.abs(gy_fd).max()))
-    if np.abs(gx - gx_fd).max() > fd_rel_tol * ref:
-        diags.append("objective.grad_x: finite-difference mismatch")
-    if np.abs(gy - gy_fd).max() > fd_rel_tol * ref:
-        diags.append("objective.grad_y: finite-difference mismatch")
-
-    Hxy = np.asarray(obj.hess_xy(x, y), float)
-    Hyx = np.asarray(obj.hess_yx(x, y), float)
-    if np.abs(Hxy - Hyx.T).max() > 1e-10 * max(1.0, np.abs(Hxy).max()):
-        diags.append("objective.hess_xy: not the transpose of hess_yx")
-
-    # Hessian blocks against finite differences of the gradients.
-    Hxx = np.asarray(obj.hess_xx(x, y), float)
-    Hyy = np.asarray(obj.hess_yy(x, y), float)
-    for name, H, g_of in (("hess_xx", Hxx, "x"), ("hess_yy", Hyy, "y")):
-        fd = np.zeros((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            if g_of == "x":
-                fd[:, i] = (obj.grad_x(x + e, y) - obj.grad_x(x - e, y)) / (2 * h)
-            else:
-                fd[:, i] = (obj.grad_y(x, y + e) - obj.grad_y(x, y - e)) / (2 * h)
-        ref = max(1.0, float(np.abs(fd).max()))
-        if np.abs(H - fd).max() > fd_rel_tol * ref:
-            diags.append(f"objective.{name}: finite-difference mismatch")
+    n_obj = problem.objective.Qxx.shape[0]
+    if n_obj != n:
+        diags.append(f"objective: n = {n_obj}, A has {n} columns")
     return diags

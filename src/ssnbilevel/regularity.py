@@ -73,12 +73,11 @@ def check_theorem_invertibleA(problem, u, params, tol=1e-9):
     in x, and empty P1, P3, P5, Q2, Q4.
     """
     sets = index_sets(problem, u, params, tol)
-    Hxx = problem.objective.hess_xx(u.x, u.y)
     checks = {
         "A_square": problem.l == problem.n,
         "A_invertible": (problem.l == problem.n
                          and _full_column_rank(problem.A)),
-        "hess_xx_full_rank": _full_column_rank(Hxx),
+        "hess_xx_full_rank": _full_column_rank(problem.objective.Qxx),
         "P1_empty": sets.P[0].size == 0,
         "P3_empty": sets.P[2].size == 0,
         "P5_empty": sets.P[4].size == 0,
@@ -92,9 +91,8 @@ def check_theorem_fullrank_yy(problem, u, params, tol=1e-9):
     """Sufficient condition built on a full-column-rank hessian of F in
     y, with empty P1, P2, P5, Q3, Q4."""
     sets = index_sets(problem, u, params, tol)
-    Hyy = problem.objective.hess_yy(u.x, u.y)
     checks = {
-        "hess_yy_full_rank": _full_column_rank(Hyy),
+        "hess_yy_full_rank": _full_column_rank(problem.objective.Qyy),
         "P1_empty": sets.P[0].size == 0,
         "P2_empty": sets.P[1].size == 0,
         "P5_empty": sets.P[4].size == 0,

@@ -13,6 +13,8 @@ feasibility and complementarity conditions written as
     lam_i - max(0, lam_i + t_i * h_i) = 0,
 
 yields the square residual map Phi whose roots the Newton method hunts.
+Phi(u) is returned as :class:`ResidualBlocks`: one vector, laid out like
+the rows of the Jacobian, with a named view per block.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import BilevelProblem, IterateU, PenaltyParams
+from .problem import BilevelProblem, BlockVector, IterateU, PenaltyParams
 
 
 def eval_pi(problem: BilevelProblem, y, z):
@@ -30,9 +32,9 @@ def eval_pi(problem: BilevelProblem, y, z):
     return float(np.minimum(np.asarray(z, float), slack).sum())
 
 
-@dataclass
-class ResidualBlocks:
-    """Blocks of Phi in stacking order.
+class ResidualBlocks(BlockVector):
+    """Phi(u) as one vector ``vec`` with a named view per block, in
+    stacking order.
 
     stat_* are the derivatives of the penalized Lagrangian with respect
     to x, y, z, r, s; eq_primal is the lower-level stationarity
@@ -41,25 +43,9 @@ class ResidualBlocks:
     Dx <= d, Ay <= b, z >= 0, r >= 0, s >= 0.
     """
 
-    stat_x: np.ndarray
-    stat_y: np.ndarray
-    stat_z: np.ndarray
-    stat_r: np.ndarray
-    stat_s: np.ndarray
-    eq_primal: np.ndarray
-    eq_simplex: np.ndarray
-    comp1: np.ndarray
-    comp2: np.ndarray
-    comp3: np.ndarray
-    comp4: np.ndarray
-    comp5: np.ndarray
-
     ORDER = ("stat_x", "stat_y", "stat_z", "stat_r", "stat_s",
              "eq_primal", "eq_simplex",
              "comp1", "comp2", "comp3", "comp4", "comp5")
-
-    def stacked(self):
-        return np.concatenate([getattr(self, name) for name in self.ORDER])
 
 
 def selection_arguments(problem: BilevelProblem, u: IterateU,
@@ -83,28 +69,29 @@ def eval_residual(problem: BilevelProblem, u: IterateU,
                   params: PenaltyParams) -> ResidualBlocks:
     """Evaluate all blocks of Phi at the iterate u."""
     A, D = problem.A, problem.D
+    n, l, m = problem.n, problem.l, problem.m
     obj = problem.objective
     alpha = params.alpha
     X1, X2, X3, X4, X5 = selection_arguments(problem, u, params)
     lams = (u.lam1, u.lam2, u.lam3, u.lam4, u.lam5)
     comps = [lam - np.maximum(0.0, X)
              for lam, X in zip(lams, (X1, X2, X3, X4, X5))]
-    return ResidualBlocks(
-        stat_x=np.asarray(obj.grad_x(u.x, u.y), float) + D.T @ u.lam1 + u.lam6,
-        stat_y=(np.asarray(obj.grad_y(u.x, u.y), float)
-                - alpha * A.T @ u.s + A.T @ u.lam2),
-        stat_z=alpha * u.r + A @ u.lam6 - u.lam3,
-        stat_r=alpha * u.z + u.lam7 - u.lam4,
-        stat_s=alpha * (problem.b - A @ u.y) + u.lam7 - u.lam5,
-        eq_primal=A.T @ u.z + u.x,
-        eq_simplex=u.r + u.s - 1.0,
-        comp1=comps[0], comp2=comps[1], comp3=comps[2],
-        comp4=comps[3], comp5=comps[4],
-    )
+    vec = np.concatenate([
+        obj.grad_x(u.x, u.y) + D.T @ u.lam1 + u.lam6,  # stat_x
+        obj.grad_y(u.x, u.y) - alpha * A.T @ u.s + A.T @ u.lam2,  # stat_y
+        alpha * u.r + A @ u.lam6 - u.lam3,  # stat_z
+        alpha * u.z + u.lam7 - u.lam4,  # stat_r
+        alpha * (problem.b - A @ u.y) + u.lam7 - u.lam5,  # stat_s
+        A.T @ u.z + u.x,  # eq_primal
+        u.r + u.s - 1.0,  # eq_simplex
+        *comps,  # comp1..comp5
+    ])
+    return ResidualBlocks.wrap(vec, (n, n, l, l, l, n, l, m, l, l, l, l))
 
 
 def eval_residual_vec(problem, u, params):
-    return eval_residual(problem, u, params).stacked()
+    """Phi(u) as one vector (the .vec of :func:`eval_residual`)."""
+    return eval_residual(problem, u, params).vec
 
 
 def eval_merit(problem, u, params):

@@ -207,6 +207,44 @@ def test_toll_entry_missing_or_not_numeric(tmp_path, capsys, group, key,
     assert f"{group}[0].{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key, value, context", [
+    ("toll", "arcs", [5], "arcs[0]: must be an object"),
+    ("toll", "od", [5], "od[0]: must be an object"),
+    ("toll", "arcs", 5, "arcs: must be a list"),
+    ("toll", "od", {"origin": 1}, "od: must be a list"),
+    ("toll", "nodes", 5, "nodes: must be a list"),
+    ("generic", "params", 5, "params: must be an object"),
+    ("generic", "objective", 3, "objective: must be an object"),
+    ("generic", "start", [1, 2], "start: must be an object"),
+], ids=["arc", "od-pair", "arcs", "od", "nodes", "params", "objective",
+        "start"])
+def test_block_of_wrong_json_type(tmp_path, capsys, kind, key, value,
+                                  context):
+    """A block or list of the wrong JSON type is a parse error (exit 2)
+    that names it, not a traceback."""
+    doc = _toll_doc() if kind == "toll" else _box_doc()
+    doc[key] = value
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert f":{context}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, value", [
+    ("lam1", [0.0, 12.0, 1.0]),  # length 3 where D has 2 rows
+    ("lam7", None),  # missing
+])
+def test_start_block_wrong_length_or_missing(tmp_path, capsys, block,
+                                             value):
+    doc = _box_doc()
+    if value is None:
+        del doc["start"][block]
+    else:
+        doc["start"][block] = value
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert block in capsys.readouterr().err
+
+
 def test_check_jacobian_needs_a_point(tmp_path, capsys):
     path = _write(tmp_path, _box_doc())
     for points in ("0", "-3"):

@@ -222,6 +222,18 @@ def test_solve_from_root_converges_immediately():
     assert rep.iterates[-1][1] <= params.delta
 
 
+def test_solve_leaves_start_unchanged():
+    for u0, iterations in ((root_ex_box(30.0), 0),
+                           (default_start(make_ex_box(), [1.5], [0.5]), 3)):
+        before = pack(u0)
+        rep = solve(make_ex_box(), u0, PenaltyParams(alpha=30.0,
+                                                     max_iter=3))
+        assert rep.iterations == iterations
+        assert np.array_equal(u0.vec, before)
+        rep.final_u.x[0] += 1.0  # the report owns its own iterate
+        assert np.array_equal(u0.vec, before)
+
+
 def test_solve_perturbed_root_one_newton_step():
     pr = make_ex_box()
     params = PenaltyParams(alpha=30.0)

@@ -1,5 +1,8 @@
 """Containers, packing and data validation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +46,41 @@ def test_pack_unpack_roundtrip(n, l, m, seed):
         assert np.array_equal(getattr(u, name), getattr(u2, name))
 
 
+def test_unpack_and_pack_copy():
+    vec = np.arange(13.0)
+    u = unpack(vec, 1, 1, 2)
+    vec[:] = -1.0
+    assert np.array_equal(u.vec, np.arange(13.0))  # unpack copied vec
+    packed = pack(u)
+    packed[:] = -2.0
+    assert np.array_equal(u.vec, np.arange(13.0))  # pack returned a copy
+
+
+def test_block_views_write_through():
+    u = IterateU.zeros(1, 1, 2)
+    lam1 = u.lam1
+    u.lam1 = [3.0, 4.0]
+    assert np.array_equal(u.vec[block_slices(1, 1, 2)["lam1"]], [3.0, 4.0])
+    assert np.array_equal(lam1, [3.0, 4.0])  # a block is a view of vec
+    u.x[0] = 5.0
+    assert u.vec[0] == 5.0
+    for dup in (u.copy(), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        dup.x = [6.0]
+        assert dup.vec[0] == 6.0 and u.x[0] == 5.0
+    with pytest.raises(ValueError):
+        u.lam1 = np.zeros(3)  # a block keeps its length
+    with pytest.raises(AttributeError):
+        u.vec = np.zeros(13)  # rebinding vec would orphan the views
+
+
+def test_keyword_constructor_needs_every_block():
+    blocks = {name: [0.0] for name in BLOCK_ORDER}
+    assert IterateU(**blocks).vec.shape == (12,)
+    del blocks["lam7"]
+    with pytest.raises(TypeError):
+        IterateU(**blocks)
+
+
 def test_unpack_rejects_wrong_length():
     with pytest.raises(DimensionError):
         unpack(np.zeros(10), 1, 1, 2)
@@ -52,9 +90,10 @@ def test_iterate_check_dims():
     pr = make_ex_fractional()
     u = IterateU.zeros(pr.n, pr.l, pr.m)
     u.check_dims(pr)
-    u.lam1 = np.zeros(5)
-    with pytest.raises(DimensionError):
-        u.check_dims(pr)
+    blocks = {name: getattr(u, name) for name in BLOCK_ORDER}
+    blocks["lam1"] = np.zeros(5)
+    with pytest.raises(DimensionError, match="lam1"):
+        IterateU(**blocks).check_dims(pr)
 
 
 def test_quadratic_objective_values_and_derivatives():
@@ -79,7 +118,14 @@ def test_quadratic_objective_values_and_derivatives():
         fd_y = (obj.eval(x, y + e) - obj.eval(x, y - e)) / (2 * h)
         assert obj.grad_x(x, y)[i] == pytest.approx(fd_x, abs=1e-5)
         assert obj.grad_y(x, y)[i] == pytest.approx(fd_y, abs=1e-5)
-    assert np.allclose(obj.hess_yx(x, y), np.asarray(Qxy).T)
+    for name, block in (("hess_xx", obj.Qxx), ("hess_xy", obj.Qxy),
+                        ("hess_yy", obj.Qyy)):
+        H = getattr(obj, name)(x, y)
+        assert H is block and not H.flags.writeable
+    assert np.array_equal(obj.Qxx, Qxx_s) and np.array_equal(obj.Qxy, Qxy)
+    assert not obj.kx.flags.writeable
+    for given in (Qxx, Qxy, Qyy, kx, ky):
+        assert given.flags.writeable  # the caller's arrays stay writable
     assert not obj.affine
     assert quadratic_objective(kx=[1.0, 2.0]).affine
 
@@ -105,12 +151,11 @@ def test_validate_accepts_good_and_flags_bad():
     pr = make_ex_fractional()
     assert validate(pr) == []
 
-    obj = quadratic_objective(Qxx=[[-6.0]], n=1)
-    obj.grad_x = lambda x, y: np.array([999.0])  # deliberately wrong
+    obj = quadratic_objective(Qxx=np.eye(2), n=2)  # n = 2 against n = 1
     bad = BilevelProblem(D=[[-1.0]], d=[-1.0], A=[[-1.0]], b=[0.0],
                          objective=obj)
     diags = validate(bad)
-    assert any("grad_x" in msg for msg in diags)
+    assert any(msg.startswith("objective") for msg in diags)
 
 
 def test_validate_reports_shape_mismatch():

@@ -64,6 +64,7 @@ def test_residual_block_order_and_stacking():
         assert np.array_equal(vec[off:off + seg.shape[0]], seg)
         off += seg.shape[0]
     assert off == pr.size
+    assert np.array_equal(blocks.vec, vec)
     assert eval_merit(pr, u, params) == pytest.approx(0.5 * vec @ vec)
 
 
