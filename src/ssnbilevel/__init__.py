@@ -11,7 +11,8 @@ from .jacobian import (generalized_element, smoothed_residual,
 from .newton import (solve, alpha_continuation, default_start, SolveReport,
                      newton_direction, line_search)
 from .regularity import (index_sets, check_theorem_invertibleA,
-                         check_theorem_fullrank_yy, probe_nonsingularity)
+                         check_theorem_fullrank_yy, probe_nonsingularity,
+                         certify)
 from .oracle import (Polyhedron, enumerate_vertices, lower_level_argmin,
                      global_penalized, bilevel_bruteforce)
 from .toll import TollNetwork, preset, build_problem
@@ -28,7 +29,7 @@ __all__ = [
     "solve", "alpha_continuation", "default_start", "SolveReport",
     "newton_direction", "line_search",
     "index_sets", "check_theorem_invertibleA", "check_theorem_fullrank_yy",
-    "probe_nonsingularity",
+    "probe_nonsingularity", "certify",
     "Polyhedron", "enumerate_vertices", "lower_level_argmin",
     "global_penalized", "bilevel_bruteforce",
     "TollNetwork", "preset", "build_problem",

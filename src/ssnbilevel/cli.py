@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import jacobian, newton, oracle, toll
+from . import jacobian, newton, oracle, regularity, toll
 from .problem import (BilevelProblem, DimensionError, IterateU,
                       PenaltyParams, quadratic_objective, validate)
 from .residual import eval_pi, eval_residual_vec
@@ -45,7 +45,10 @@ def _check_keys(obj, allowed, context):
 def _matrix(obj, key, context):
     if key not in obj:
         raise CLIError(f"{context}: missing '{key}'")
-    arr = np.asarray(obj[key], float)
+    try:
+        arr = np.asarray(obj[key], float)
+    except (TypeError, ValueError):
+        raise CLIError(f"{context}: '{key}' is not a numeric array")
     if not np.all(np.isfinite(arr)):
         raise CLIError(f"{context}: '{key}' contains non-finite values")
     return arr
@@ -94,20 +97,15 @@ def load_problem_file(path):
     layout = None
     if kind == "generic":
         obj = doc.get("objective", {})
-        _check_keys(obj, ("Qxx", "Qxy", "Qyy", "kx", "ky", "const"),
-                    f"{path}:objective")
-        for key in ("Qxx", "Qxy", "Qyy", "kx", "ky"):
-            if key in obj:
-                arr = np.asarray(obj[key], float)
-                if not np.all(np.isfinite(arr)):
-                    raise CLIError(f"{path}: objective.{key} non-finite")
+        where = f"{path}:objective"
+        _check_keys(obj, ("Qxx", "Qxy", "Qyy", "kx", "ky", "const"), where)
+        blocks = {key: _matrix(obj, key, where)
+                  for key in ("Qxx", "Qxy", "Qyy", "kx", "ky") if key in obj}
+        const = _entry(obj, "const", where, float) if "const" in obj else 0.0
         A = _matrix(doc, "A", path)
         try:
-            objective = quadratic_objective(
-                Qxx=obj.get("Qxx"), Qxy=obj.get("Qxy"), Qyy=obj.get("Qyy"),
-                kx=obj.get("kx"), ky=obj.get("ky"),
-                const=float(obj.get("const", 0.0)),
-                n=np.atleast_2d(A).shape[1])
+            objective = quadratic_objective(**blocks, const=const,
+                                            n=np.atleast_2d(A).shape[1])
         except DimensionError as exc:
             raise CLIError(f"{path}: {exc}")
         problem = BilevelProblem(D=_matrix(doc, "D", path),
@@ -216,6 +214,12 @@ def _alpha_schedule(arg):
         raise CLIError(f"bad --alpha-schedule {arg!r}")
     if not values:
         raise CLIError("empty --alpha-schedule")
+    if not all(np.isfinite(v) and v > 0 for v in values):
+        raise CLIError(f"--alpha-schedule {arg!r}: weights must be "
+                       f"finite and positive")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise CLIError(f"--alpha-schedule {arg!r}: weights must be "
+                       f"strictly increasing")
     return values
 
 
@@ -237,8 +241,7 @@ def report_from_json(text):
         final_u=u, status=doc["status"],
         iterates=[tuple(e) for e in doc["iterates"]], alpha=doc["alpha"],
         objective_value=doc["objective_value"],
-        penalty_value=doc["penalty_value"],
-        certificates=doc.get("certificates", {}), message=doc["message"])
+        penalty_value=doc["penalty_value"], message=doc["message"])
 
 
 def cmd_solve(args):
@@ -274,6 +277,10 @@ def cmd_solve(args):
         extra["revenue"] = rev
         extra["lower_objective"] = lower_value
     if args.out:
+        extra["certificates"] = (
+            regularity.certify(problem, report.u,
+                               params.with_alpha(report.alpha))
+            if report.residual_norm <= params.delta else {})
         with open(args.out, "w") as fh:
             fh.write(_report_json(report, extra))
     return 0 if report.converged else 1

@@ -24,7 +24,7 @@ steps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -107,7 +107,6 @@ class SolveReport:
     alpha: float
     objective_value: float
     penalty_value: float
-    certificates: dict = field(default_factory=dict)
     message: str = ""
 
     @property
@@ -144,7 +143,6 @@ class SolveReport:
             "objective_value": self.objective_value,
             "penalty_value": self.penalty_value,
             "iterates": [list(entry) for entry in self.iterates],
-            "certificates": self.certificates,
             "message": self.message,
             "x": self.final_u.x.tolist(),
             "y": self.final_u.y.tolist(),
@@ -170,30 +168,6 @@ def default_start(problem: BilevelProblem, x0, y0, lam1=None) -> IterateU:
                     lam2=z0.copy(), lam3=z0.copy(),
                     lam4=np.zeros(l), lam5=e.copy(),
                     lam6=np.zeros(n), lam7=np.zeros(l))
-
-
-def _certificates(problem, u, params):
-    """Regularity summary attached to converged reports."""
-    from .regularity import (check_theorem_fullrank_yy,
-                             check_theorem_invertibleA, index_sets,
-                             probe_nonsingularity)
-
-    sets = index_sets(problem, u, params)
-    inv_a = check_theorem_invertibleA(problem, u, params)
-    full_yy = check_theorem_fullrank_yy(problem, u, params)
-    probe = probe_nonsingularity(problem, u, params)
-    return {
-        "index_sets": {k: [int(j) for j in v]
-                       for k, v in sets.named().items()},
-        "theorem_invertibleA": {"holds": inv_a.holds,
-                                "failed": inv_a.failed()},
-        "theorem_fullrank_yy": {"holds": full_yy.holds,
-                                "failed": full_yy.failed()},
-        "probe": {"nonsingular": probe.nonsingular,
-                  "n_elements": probe.n_elements,
-                  "n_ties": probe.n_ties,
-                  "worst_cond": probe.worst_cond},
-    }
 
 
 def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
@@ -244,13 +218,10 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
     if res <= params.delta:
         status = STATUS_CONVERGED
         message = "residual below tolerance"
-    certificates = (_certificates(problem, u, params)
-                    if status == STATUS_CONVERGED else {})
     return SolveReport(
         final_u=u, status=status, iterates=iterates, alpha=params.alpha,
         objective_value=float(problem.objective.eval(u.x, u.y)),
-        penalty_value=eval_pi(problem, u.y, u.z),
-        certificates=certificates, message=message)
+        penalty_value=eval_pi(problem, u.y, u.z), message=message)
 
 
 def alpha_continuation(problem, u0, params, alphas, pi_tol=1e-8):

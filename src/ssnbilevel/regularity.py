@@ -162,3 +162,24 @@ def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
             ok = False
     return ProbeResult(nonsingular=ok, n_elements=tried, n_ties=k,
                        worst_cond=float(worst))
+
+
+def certify(problem, u, params):
+    """Regularity summary at u (index sets, both sufficient conditions,
+    element probe) as JSON-ready values; not a step of the method."""
+    sets = index_sets(problem, u, params)
+    inv_a = check_theorem_invertibleA(problem, u, params)
+    full_yy = check_theorem_fullrank_yy(problem, u, params)
+    probe = probe_nonsingularity(problem, u, params)
+    return {
+        "index_sets": {k: [int(j) for j in v]
+                       for k, v in sets.named().items()},
+        "theorem_invertibleA": {"holds": inv_a.holds,
+                                "failed": inv_a.failed()},
+        "theorem_fullrank_yy": {"holds": full_yy.holds,
+                                "failed": full_yy.failed()},
+        "probe": {"nonsingular": probe.nonsingular,
+                  "n_elements": probe.n_elements,
+                  "n_ties": probe.n_ties,
+                  "worst_cond": probe.worst_cond},
+    }

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ssnbilevel import cli
+from ssnbilevel import PenaltyParams, certify, cli
 
 from conftest import make_ex_box, root_ex_box
 
@@ -94,6 +94,26 @@ def test_nonfinite_entries_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("block, key, value", [
+    (None, "A", "abc"),
+    (None, "A", [[-1.0], [1.0, 2.0]]),
+    (None, "b", {"lo": 0.0}),
+    ("objective", "Qxx", "x"),
+    ("objective", "kx", [[1.0], [1.0, 2.0]]),
+    ("objective", "const", "x"),
+], ids=["A-text", "A-ragged", "b-object", "Qxx-text", "kx-ragged",
+        "const-text"])
+def test_matrix_not_numeric_rejected(tmp_path, capsys, block, key, value):
+    """A non-numeric or ragged matrix is a parse error (exit 2) that
+    names its key, not a traceback."""
+    doc = _box_doc()
+    (doc if block is None else doc[block])[key] = value
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "not a num" in err
+
+
 @pytest.mark.parametrize("block, value", [
     ("Qxx", [[1.0, 0.0], [0.0, 1.0]]),
     ("kx", [1.0, 2.0]),
@@ -125,6 +145,23 @@ def test_alpha_schedule_flag(tmp_path, capsys):
 
     rc = cli.main(["solve", path, "--alpha-schedule", "abc"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("schedule, reason", [
+    ("10,1", "strictly increasing"),
+    ("1,1", "strictly increasing"),
+    ("0,1", "finite and positive"),
+    ("-1,1", "finite and positive"),
+    ("1,inf", "finite and positive"),
+    ("nan", "finite and positive"),
+])
+def test_alpha_schedule_rejected(tmp_path, capsys, schedule, reason):
+    """A schedule that is not finite, positive and strictly increasing
+    is a parse error (exit 2), not a traceback or a solve at alpha inf."""
+    path = _write(tmp_path, _box_doc())
+    rc = cli.main(["solve", path, f"--alpha-schedule={schedule}"])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_verify_agrees_on_box_example(tmp_path, capsys):
@@ -274,3 +311,70 @@ def test_report_json_round_trip(tmp_path):
     assert report.residual_norm <= 1e-6
     for name in cli.START_KEYS:
         assert getattr(report.final_u, name).ndim == 1
+
+
+def _exhausted_doc():
+    """Box instance whose penalized residual has a root with pi = 0.6 at
+    every weight of the schedule 0.5, 1, 2, so a continuation from the
+    default start converges at each stage and exhausts the schedule."""
+    return {
+        "kind": "generic",
+        "D": [[-1.0], [1.0]], "d": [0.6, 1.2],
+        "A": [[-1.0], [1.0]], "b": [1.6, 0.7],
+        "objective": {"Qxx": [[-0.5]], "Qxy": [[0.4]], "Qyy": [[-2.75]],
+                      "kx": [2.9], "ky": [-0.85]},
+    }
+
+
+def _solve_out(tmp_path, doc, *flags):
+    """Run solve with --out; return its exit code, report document and
+    the certificates certify gives at the report's final iterate and
+    weight, as they read after a JSON round trip."""
+    out = tmp_path / "rep.json"
+    rc = cli.main(["solve", _write(tmp_path, doc), "--out", str(out),
+                   *flags])
+    text = out.read_text()
+    report = cli.report_from_json(text)
+    problem, _, file_params, _ = cli.load_problem_file(
+        str(tmp_path / "problem.json"))
+    params = PenaltyParams(**file_params).with_alpha(report.alpha)
+    expected = json.loads(json.dumps(certify(problem, report.final_u,
+                                             params)))
+    return rc, json.loads(text), expected
+
+
+def test_solve_out_carries_certificates(tmp_path):
+    rc, doc, expected = _solve_out(tmp_path, _box_doc())
+    assert rc == 0
+    assert set(doc["certificates"]) == {"index_sets", "theorem_invertibleA",
+                                        "theorem_fullrank_yy", "probe"}
+    assert doc["certificates"] == expected
+
+
+def test_solve_out_without_convergence_has_no_certificates(tmp_path):
+    box = _box_doc(with_start=False)
+    box["params"]["max_iter"] = 1
+    rc, doc, _ = _solve_out(tmp_path, box)
+    assert rc == 1
+    assert doc["status"] == "max_iter"
+    assert doc["certificates"] == {}
+
+
+def test_alpha_schedule_certifies_final_weight(tmp_path):
+    """The certificates belong to the weight the schedule ended at (1 for
+    the box root, not the file's 30), also when the schedule is
+    exhausted after a converged last stage."""
+    rc, doc, expected = _solve_out(tmp_path, _box_doc(), "--alpha-schedule",
+                                   "1,10,100")
+    assert rc == 0 and doc["alpha"] == 1.0
+    assert doc["certificates"] == expected
+    u = cli.report_from_json(json.dumps(doc)).final_u
+    at_file_alpha = certify(make_ex_box(), u, PenaltyParams(alpha=30.0))
+    assert doc["certificates"]["probe"] != at_file_alpha["probe"]
+
+    rc, doc, expected = _solve_out(tmp_path, _exhausted_doc(),
+                                   "--alpha-schedule", "0.5,1,2")
+    assert rc == 1
+    assert doc["status"] == "schedule_exhausted" and doc["alpha"] == 2.0
+    assert doc["residual_norm"] <= 1e-6
+    assert doc["certificates"] and doc["certificates"] == expected

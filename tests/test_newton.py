@@ -9,10 +9,11 @@ import scipy.linalg
 import scipy.sparse
 
 from ssnbilevel import (BilevelProblem, PenaltyParams, alpha_continuation,
-                        default_start, eval_residual_vec, generalized_element,
-                        merit_gradient, newton_direction, quadratic_objective,
-                        solve, toll)
+                        certify, default_start, eval_residual_vec,
+                        generalized_element, merit_gradient, newton_direction,
+                        quadratic_objective, solve, toll)
 from ssnbilevel import newton as newton_mod
+from ssnbilevel import regularity
 from ssnbilevel.jacobian import JacobianElement
 from ssnbilevel.newton import PIVOT_REL_TOL, line_search
 from ssnbilevel.problem import pack, unpack
@@ -218,8 +219,68 @@ def test_solve_from_root_converges_immediately():
     rep = solve(pr, root_ex_fractional(pr, 2.0), params)
     assert rep.status == "converged"
     assert rep.iterations == 0
-    assert rep.certificates  # regularity summary attached
+    assert certify(pr, rep.final_u, params)  # regularity summary on request
     assert rep.iterates[-1][1] <= params.delta
+
+
+def test_solve_never_certifies(monkeypatch):
+    """The regularity checks are not a step of the method: a converged
+    solve, with or without Newton steps, runs none of them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve ran a regularity check")
+
+    for name in ("probe_nonsingularity", "check_theorem_invertibleA",
+                 "check_theorem_fullrank_yy"):
+        monkeypatch.setattr(regularity, name, refuse)
+    pr = make_ex_box()
+    params = PenaltyParams(alpha=30.0)
+    v = pack(root_ex_box(30.0))
+    rng = np.random.default_rng(2)
+    for u0 in (unpack(v, pr.n, pr.l, pr.m),
+               unpack(v + 1e-3 * rng.standard_normal(pr.size),
+                      pr.n, pr.l, pr.m)):
+        rep = solve(pr, u0, params)
+        assert rep.status == "converged"
+        assert "certificates" not in rep.as_dict()
+
+
+def test_certify_matches_previous_summary():
+    """certify reproduces the summary that converged reports used to
+    carry, at the known roots of both desk examples."""
+    box = certify(make_ex_box(), root_ex_box(30.0),
+                  PenaltyParams(alpha=30.0))
+    assert box.pop("probe") == {"nonsingular": True, "n_elements": 1,
+                                "n_ties": 0,
+                                "worst_cond": pytest.approx(796178.394159547,
+                                                            rel=1e-9)}
+    assert box == {
+        "index_sets": {"P1": [1], "Q1": [0], "P2": [0], "Q2": [1],
+                       "P3": [1], "Q3": [0], "P4": [0], "Q4": [1],
+                       "P5": [1], "Q5": [0]},
+        "theorem_invertibleA": {
+            "holds": False,
+            "failed": ["A_square", "A_invertible", "P1_empty", "P3_empty",
+                       "P5_empty", "Q2_empty", "Q4_empty"]},
+        "theorem_fullrank_yy": {
+            "holds": False,
+            "failed": ["P1_empty", "P2_empty", "P5_empty", "Q3_empty",
+                       "Q4_empty"]},
+    }
+    pr = make_ex_fractional()
+    frac = certify(pr, root_ex_fractional(pr, 2.0), PenaltyParams(alpha=2.0))
+    assert frac.pop("probe") == {"nonsingular": True, "n_elements": 3,
+                                 "n_ties": 1,
+                                 "worst_cond": pytest.approx(
+                                     12889.868547799124, rel=1e-9)}
+    assert frac == {
+        "index_sets": {"P1": [1], "Q1": [0, 1], "P2": [0], "Q2": [],
+                       "P3": [], "Q3": [0], "P4": [0], "Q4": [], "P5": [],
+                       "Q5": [0]},
+        "theorem_invertibleA": {"holds": False, "failed": ["P1_empty"]},
+        "theorem_fullrank_yy": {"holds": False,
+                                "failed": ["P1_empty", "P2_empty",
+                                           "Q3_empty"]},
+    }
 
 
 def test_solve_leaves_start_unchanged():
@@ -264,7 +325,6 @@ def test_status_max_iter():
     if rep.status == "max_iter":
         assert rep.iterations == 2
         assert not rep.converged
-        assert rep.certificates == {}
 
 
 def test_singular_unrecoverable_on_merit_stationary_nonroot():
