@@ -62,16 +62,20 @@ def _list(doc, key, path):
 
 
 def _entry(obj, key, where, convert=None):
-    """obj[key], passed through convert if given; a missing key or a
-    failed conversion raises CLIError naming the entry (where.key)."""
+    """obj[key], passed through convert if given; a missing key, a
+    failed conversion or a non-finite result raises CLIError naming the
+    entry (where.key)."""
     if key not in obj:
         raise CLIError(f"{where}.{key}: missing")
     if convert is None:
         return obj[key]
     try:
-        return convert(obj[key])
+        value = convert(obj[key])
     except (TypeError, ValueError):
         raise CLIError(f"{where}.{key}: not a number: {obj[key]!r}")
+    if not np.isfinite(value):
+        raise CLIError(f"{where}.{key}: not finite: {obj[key]!r}")
+    return value
 
 
 def load_problem_file(path):
@@ -227,7 +231,7 @@ def _report_json(report, extra=None):
     doc = report.as_dict()
     for name in ("r", "s", "lam1", "lam2", "lam3", "lam4", "lam5",
                  "lam6", "lam7"):
-        doc[name] = getattr(report.u, name).tolist()
+        doc[name] = getattr(report.final_u, name).tolist()
     if extra:
         doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -262,24 +266,24 @@ def cmd_solve(args):
           f"||Phi|| = {report.residual_norm:.3e}, alpha = {report.alpha:g}")
     print(f"upper objective F = {report.objective_value:.6f}, "
           f"penalty pi = {report.penalty_value:.3e}")
+    u = report.final_u
     extra = {}
     if layout is not None:
-        lower_value = float(np.dot(report.u.x, report.u.y))
-        rev = toll.revenue(report.u.x, report.u.y, layout)
+        lower_value = float(np.dot(u.x, u.y))
+        rev = toll.revenue(u.x, u.y, layout)
         print(f"lower objective f = {lower_value:.6f}, revenue = {rev:.6f}")
         try:
-            tolls = toll.recover_tolls(report.u.x, layout)
+            tolls = toll.recover_tolls(u.x, layout)
             for i, T in sorted(tolls.items()):
-                print(f"  toll on {layout.labels[i]}: {T:.6f}")
-            extra["tolls"] = {layout.labels[i]: T for i, T in tolls.items()}
+                print(f"  toll on x{i + 1}: {T:.6f}")
+            extra["tolls"] = {f"x{i + 1}": T for i, T in tolls.items()}
         except toll.InconsistencyError as exc:
             print(f"  toll recovery skipped: {exc}")
         extra["revenue"] = rev
         extra["lower_objective"] = lower_value
     if args.out:
         extra["certificates"] = (
-            regularity.certify(problem, report.u,
-                               params.with_alpha(report.alpha))
+            regularity.certify(problem, u, params.with_alpha(report.alpha))
             if report.residual_norm <= params.delta else {})
         with open(args.out, "w") as fh:
             fh.write(_report_json(report, extra))
@@ -290,19 +294,15 @@ def cmd_verify(args):
     problem, layout, params, start = _load_instance(args)
     schedule = _alpha_schedule(args.alpha_schedule) or [1.0, 10.0, 100.0,
                                                         1000.0]
-    # the penalized oracle works in (x, y, z) space of dimension 2n + l
+    # the penalized oracle works in (x, y, z) space of dimension 2n + l,
+    # which bounds every polyhedron the oracles enumerate (the lower level
+    # has dimension n, a multiplier region at most l)
     if 2 * problem.n + problem.l > args.dim_cap:
         print(f"instance dimension {2 * problem.n + problem.l} exceeds "
               f"oracle cap {args.dim_cap}")
         return 3
-    try:
-        F_best, x_bf, y_bf, f_low = oracle.bilevel_bruteforce(
-            problem, dim_cap=args.dim_cap)
-    except oracle.OracleError as exc:
-        if "exceeds cap" in str(exc):
-            print(f"oracle refused: {exc} (cap {args.dim_cap})")
-            return 3
-        raise
+    F_best, x_bf, y_bf, f_low = oracle.bilevel_bruteforce(
+        problem, dim_cap=args.dim_cap)
     print(f"brute force: F = {F_best:.8f} at x = {np.round(x_bf, 6)}, "
           f"y = {np.round(y_bf, 6)}")
     agree = False
@@ -312,19 +312,15 @@ def cmd_verify(args):
             val, (xg, yg, zg) = oracle.global_penalized(
                 problem, p, z_cap=args.z_cap, dim_cap=args.dim_cap)
         except oracle.OracleError as exc:
-            if "exceeds cap" in str(exc):
-                print(f"oracle refused: {exc} (cap {args.dim_cap})")
-                return 3
-            if "unbounded" in str(exc):
-                # recession in z never lowers the minimum, so a generous
-                # data-scaled cap is safe for the comparison
-                cap = 1e3 * max(1.0, np.abs(problem.b).max(),
-                                np.abs(problem.d).max())
-                print(f"multiplier block unbounded; capping z at {cap:g}")
-                val, (xg, yg, zg) = oracle.global_penalized(
-                    problem, p, z_cap=cap, dim_cap=args.dim_cap)
-            else:
+            if "unbounded" not in str(exc):
                 raise
+            # recession in z never lowers the minimum, so a generous
+            # data-scaled cap is safe for the comparison
+            cap = 1e3 * max(1.0, np.abs(problem.b).max(),
+                            np.abs(problem.d).max())
+            print(f"multiplier block unbounded; capping z at {cap:g}")
+            val, (xg, yg, zg) = oracle.global_penalized(
+                problem, p, z_cap=cap, dim_cap=args.dim_cap)
         pi = eval_pi(problem, yg, zg)
         rep = newton.solve(problem, start, p)
         print(f"alpha = {a:g}: penalized min = {val:.8f}, pi = {pi:.2e}, "

@@ -209,8 +209,9 @@ def smoothed_jacobian(problem, u, params):
                     _smoothed_weights(problem, u, params)).toarray()
 
 
-def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
-    """Central finite-difference Jacobian of the (smoothed) residual.
+def fd_jacobian(problem, u, params, smoothed=True):
+    """Central finite-difference Jacobian (step 1e-6) of the (smoothed)
+    residual.
 
     Reference implementation for verification; O(N) residual sweeps.
     """
@@ -222,6 +223,7 @@ def fd_jacobian(problem, u, params, smoothed=True, h=1e-6):
     def phi(vec):
         return fun(problem, unpack(vec, n, l, m), params)
 
+    h = 1e-6
     N = u.vec.shape[0]
     J = np.zeros((N, N))
     for j in range(N):

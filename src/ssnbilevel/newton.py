@@ -110,10 +110,6 @@ class SolveReport:
     message: str = ""
 
     @property
-    def u(self):
-        return self.final_u
-
-    @property
     def converged(self):
         return self.status == STATUS_CONVERGED
 
@@ -150,21 +146,19 @@ class SolveReport:
         }
 
 
-def default_start(problem: BilevelProblem, x0, y0, lam1=None) -> IterateU:
+def default_start(problem: BilevelProblem, x0, y0) -> IterateU:
     """Standard warm start from primal guesses (x0, y0).
 
     z0 = A y0 - b is copied into lam2 and lam3, r0 = lam4 = lam7 = 0,
-    s0 = lam5 = e, lam1 defaults to |D x0 - d| and lam6 = 0.
+    s0 = lam5 = e, lam1 = |D x0 - d| and lam6 = 0.
     """
     x0 = np.asarray(x0, float).ravel()
     y0 = np.asarray(y0, float).ravel()
     z0 = problem.A @ y0 - problem.b
     l, n = problem.l, problem.n
     e = np.ones(l)
-    if lam1 is None:
-        lam1 = np.abs(problem.D @ x0 - problem.d)
     return IterateU(x=x0, y=y0, z=z0.copy(), r=np.zeros(l), s=e.copy(),
-                    lam1=np.asarray(lam1, float).ravel(),
+                    lam1=np.abs(problem.D @ x0 - problem.d),
                     lam2=z0.copy(), lam3=z0.copy(),
                     lam4=np.zeros(l), lam5=e.copy(),
                     lam6=np.zeros(n), lam7=np.zeros(l))

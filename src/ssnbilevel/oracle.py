@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 FEAS_TOL = 1e-9
 VALUE_TOL = 1e-8
 DIM_CAP = 12
+W_CAP = 1e6
 
 
 class OracleError(RuntimeError):
@@ -52,7 +53,7 @@ class Polyhedron:
             ok = np.abs(self.A_eq @ v - self.b_eq).max() <= tol
         return bool(ok)
 
-    def is_pointed(self, tol=FEAS_TOL):
+    def is_pointed(self):
         """True when the constraint normals span the whole space, which
         is necessary for any vertex to exist."""
         rows = [self.A_ub]
@@ -77,7 +78,7 @@ class Polyhedron:
         return True
 
 
-def enumerate_vertices(poly: Polyhedron, dim_cap=DIM_CAP, tol=FEAS_TOL):
+def enumerate_vertices(poly: Polyhedron, dim_cap=DIM_CAP):
     """All vertices of a polyhedron by exhaustive basis enumeration.
 
     Every vertex is a feasible point where some choice of active
@@ -87,7 +88,7 @@ def enumerate_vertices(poly: Polyhedron, dim_cap=DIM_CAP, tol=FEAS_TOL):
     dim = poly.dim
     if dim > dim_cap:
         raise OracleError(f"dimension {dim} exceeds cap {dim_cap}")
-    if not poly.is_pointed(tol):
+    if not poly.is_pointed():
         raise OracleError("polyhedron has no vertices (not pointed)")
 
     if poly.A_eq is not None:
@@ -108,7 +109,7 @@ def enumerate_vertices(poly: Polyhedron, dim_cap=DIM_CAP, tol=FEAS_TOL):
         v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         if np.abs(M @ v - rhs).max() > 1e-7:
             continue
-        if not poly.contains(v, tol=max(tol, 1e-7)):
+        if not poly.contains(v, tol=1e-7):
             continue
         if not any(np.abs(v - w).max() <= 1e-7 for w in verts):
             verts.append(v)
@@ -182,7 +183,7 @@ def global_penalized(problem, params, z_cap=None, dim_cap=DIM_CAP):
     return val, (v[:n], v[n:2 * n], v[2 * n:])
 
 
-def bilevel_bruteforce(problem, dim_cap=DIM_CAP, w_cap=1e6):
+def bilevel_bruteforce(problem, dim_cap=DIM_CAP):
     """Global optimistic bilevel optimum by exhausting lower-level
     vertices and, for each, the polytope of upper variables that make
     that vertex optimal.
@@ -190,7 +191,7 @@ def bilevel_bruteforce(problem, dim_cap=DIM_CAP, w_cap=1e6):
     For a lower-level vertex y with active rows J, y minimizes x^T y
     over {Ay <= b} exactly when x = -A_J^T w for some w >= 0.  The
     bilevel minimum is searched over each region
-    {w : 0 <= w <= w_cap, D(-A_J^T w) <= d} in the lifted multiplier
+    {w : 0 <= w <= W_CAP, D(-A_J^T w) <= d} in the lifted multiplier
     coordinates; the box cap only matters on instances whose natural
     scale approaches it.  Requires F concave in x for fixed y (e.g.
     bilinear revenue objectives), so each regional minimum is at a
@@ -209,9 +210,9 @@ def bilevel_bruteforce(problem, dim_cap=DIM_CAP, w_cap=1e6):
             continue  # interior point of a full-dimensional set: no x works
         AJ = A[active]
         nw = active.size
-        # region in w-space: 0 <= w <= w_cap and D(-AJ^T w) <= d
+        # region in w-space: 0 <= w <= W_CAP and D(-AJ^T w) <= d
         A_ub = np.vstack([-np.eye(nw), np.eye(nw), -D @ AJ.T])
-        b_ub = np.concatenate([np.zeros(nw), np.full(nw, float(w_cap)), d])
+        b_ub = np.concatenate([np.zeros(nw), np.full(nw, W_CAP), d])
         region = Polyhedron(A_ub=A_ub, b_ub=b_ub)
         w_verts = enumerate_vertices(region, dim_cap=dim_cap)
         for w in w_verts:

@@ -295,7 +295,11 @@ class PenaltyParams:
         self.validate()
 
     def validate(self):
+        scalars = [self.alpha, self.epsilon, self.delta, self.rho,
+                   self.p_exp, self.beta, self.sigma, self.max_iter]
         checks = [
+            (np.isfinite(scalars).all() and np.isfinite(self.t).all(),
+             "every parameter must be finite"),
             (self.alpha > 0, "alpha must be positive"),
             (np.all(self.t > 0), "all t components must be positive"),
             (self.epsilon >= 0, "epsilon must be nonnegative"),

@@ -22,7 +22,8 @@ import numpy as np
 from .jacobian import assemble, selection_weights
 from .residual import selection_arguments
 
-FAMILY_NAMES = ("P1", "P2", "P3", "P4", "P5", "Q1", "Q2", "Q3", "Q4", "Q5")
+#: |X^i_j| <= TOL counts as a kink (in both P_i and Q_i)
+TOL = 1e-9
 
 
 @dataclass
@@ -31,8 +32,6 @@ class IndexSets:
 
     P: tuple  # P[i] is the sorted index array for family i+1
     Q: tuple
-    X: tuple  # the selection arguments themselves
-    tol: float
 
     def named(self):
         out = {}
@@ -42,11 +41,10 @@ class IndexSets:
         return out
 
 
-def index_sets(problem, u, params, tol=1e-9) -> IndexSets:
+def index_sets(problem, u, params) -> IndexSets:
     Xs = selection_arguments(problem, u, params)
-    P = tuple(np.flatnonzero(X >= -tol) for X in Xs)
-    Q = tuple(np.flatnonzero(X <= tol) for X in Xs)
-    return IndexSets(P=P, Q=Q, X=Xs, tol=tol)
+    return IndexSets(P=tuple(np.flatnonzero(X >= -TOL) for X in Xs),
+                     Q=tuple(np.flatnonzero(X <= TOL) for X in Xs))
 
 
 @dataclass
@@ -66,13 +64,13 @@ def _full_column_rank(M):
     return np.linalg.matrix_rank(M) == M.shape[1]
 
 
-def check_theorem_invertibleA(problem, u, params, tol=1e-9):
+def check_theorem_invertibleA(problem, u, params):
     """Sufficient condition built on an invertible lower-level matrix.
 
     Requires l = n with A invertible, a full-column-rank hessian of F
     in x, and empty P1, P3, P5, Q2, Q4.
     """
-    sets = index_sets(problem, u, params, tol)
+    sets = index_sets(problem, u, params)
     checks = {
         "A_square": problem.l == problem.n,
         "A_invertible": (problem.l == problem.n
@@ -87,10 +85,10 @@ def check_theorem_invertibleA(problem, u, params, tol=1e-9):
     return RegularityResult(holds=all(checks.values()), checks=checks)
 
 
-def check_theorem_fullrank_yy(problem, u, params, tol=1e-9):
+def check_theorem_fullrank_yy(problem, u, params):
     """Sufficient condition built on a full-column-rank hessian of F in
     y, with empty P1, P2, P5, Q3, Q4."""
-    sets = index_sets(problem, u, params, tol)
+    sets = index_sets(problem, u, params)
     checks = {
         "hess_yy_full_rank": _full_column_rank(problem.objective.Qyy),
         "P1_empty": sets.P[0].size == 0,
@@ -112,21 +110,20 @@ class ProbeResult:
     worst_cond: float
 
 
-def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
-                         max_elements=8, seed=0):
+def probe_nonsingularity(problem, u, params, max_elements=8):
     """Probe generalized-Jacobian elements at u for nonsingularity.
 
-    Rows whose selection argument sits at the kink (|X^i_j| <= tol)
+    Rows whose selection argument sits at the kink (|X^i_j| <= TOL)
     admit any derivative weight in [0, 1]; since nonsingularity of the
     whole generalized Jacobian holds iff it holds at the extreme
     selections, the probe enumerates {0, 1} assignments on the tied
-    rows (all of them when there are few ties, a seeded sample of
-    corners otherwise) together with the midpoint element.  A matrix
-    counts as singular when its condition number exceeds cond_limit.
+    rows (all of them when there are few ties, a sample of corners
+    drawn with seed 0 otherwise) together with the midpoint element.  A
+    matrix counts as singular when its condition number exceeds 1e12.
     """
     Xs = selection_arguments(problem, u, params)
     base = [selection_weights(X) for X in Xs]
-    tie_masks = [np.abs(X) <= tol for X in Xs]
+    tie_masks = [np.abs(X) <= TOL for X in Xs]
     tie_index = [(fam, j) for fam, mask in enumerate(tie_masks)
                  for j in np.flatnonzero(mask)]
     k = len(tie_index)
@@ -137,7 +134,7 @@ def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
     elif 2 ** k <= max_elements - 1:
         assignments.extend(itertools.product((0.0, 1.0), repeat=k))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         assignments.append((0.0,) * k)
         assignments.append((1.0,) * k)
         while len(assignments) < max_elements - 1:
@@ -158,7 +155,7 @@ def probe_nonsingularity(problem, u, params, tol=1e-9, cond_limit=1e12,
         cond = np.linalg.cond(assemble(problem, u, params, ps).toarray())
         worst = max(worst, cond)
         tried += 1
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > 1e12:
             ok = False
     return ProbeResult(nonsingular=ok, n_elements=tried, n_ties=k,
                        worst_cond=float(worst))

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .newton import default_start
 from .problem import BilevelProblem, PenaltyParams, quadratic_objective
@@ -75,11 +76,9 @@ class TollNetwork:
     def costs(self):
         return np.array([c for (_, _, c) in self.arcs], float)
 
-    def has_path(self, origin, dest, arc_ids=None):
-        arc_ids = range(self.n_arcs) if arc_ids is None else arc_ids
+    def has_path(self, origin, dest):
         out = {}
-        for a in arc_ids:
-            tail, head, _ = self.arcs[a]
+        for tail, head, _ in self.arcs:
             out.setdefault(tail, []).append(head)
         seen = {origin}
         queue = deque([origin])
@@ -109,20 +108,17 @@ class VariableLayout:
     tolled: tuple
     links: tuple = ()
     toll_lb: dict = field(default_factory=dict)
-    labels: tuple = ()
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, float).ravel()
         self.tolled = tuple(sorted(self.tolled))
-        if not self.labels:
-            self.labels = tuple(f"x{i + 1}" for i in range(self.n_vars))
 
     @property
     def pinned(self):
         return tuple(i for i in range(self.n_vars) if i not in self.tolled)
 
 
-def build_incidence(network: TollNetwork, od_pair, arc_ids=None):
+def build_incidence(network: TollNetwork, od_pair):
     """Node-arc incidence system of one commodity, destination row
     dropped.
 
@@ -132,15 +128,13 @@ def build_incidence(network: TollNetwork, od_pair, arc_ids=None):
     the full incidence matrix vanish) and is always the one omitted.
     """
     origin, dest, demand = od_pair
-    arc_ids = list(range(network.n_arcs)) if arc_ids is None else list(arc_ids)
-    if not network.has_path(origin, dest, arc_ids):
+    if not network.has_path(origin, dest):
         raise NoPathError(f"no directed path from {origin} to {dest}")
     rows = [v for v in network.nodes if v != dest]
-    A = np.zeros((len(rows), len(arc_ids)))
+    A = np.zeros((len(rows), network.n_arcs))
     b = np.zeros(len(rows))
     index = {v: i for i, v in enumerate(rows)}
-    for col, a in enumerate(arc_ids):
-        tail, head, _ = network.arcs[a]
+    for col, (tail, head, _) in enumerate(network.arcs):
         if tail in index:
             A[index[tail], col] += 1.0
         if head in index:
@@ -149,79 +143,56 @@ def build_incidence(network: TollNetwork, od_pair, arc_ids=None):
     return A, b
 
 
-def assemble_lower_level(network: TollNetwork, useful_arcs=None):
+def assemble_lower_level(network: TollNetwork):
     """Equality system of the users' routing LP plus the variable layout.
 
-    General case: one incidence block per commodity (optionally over a
-    restricted 'useful' arc set) followed by coupling rows expressing
-    the aggregate flow y_a = sum_od demand * y^od_a.  A single
-    commodity with unit demand collapses to the aggregate variables
-    alone, since the per-commodity copy would be identical.
+    General case: one flow copy per commodity, each over every arc and
+    carrying its own demand on the right-hand side, followed by the
+    aggregate flow y_a = sum_od y^od_a,
+
+        A_eq = [[blockdiag(B_1, ..., B_M), 0], [I ... I, -I]],
+
+    with B_k the incidence block of commodity k.  A single commodity
+    with unit demand collapses to the aggregate variables alone, since
+    the per-commodity copy would be identical.
     """
     M = len(network.od_pairs)
     if M == 0:
         raise ValueError("need at least one od pair")
-    useful = useful_arcs or {}
     n_arcs = network.n_arcs
 
-    if M == 1 and network.od_pairs[0][2] == 1 and not useful:
+    if M == 1 and network.od_pairs[0][2] == 1:
         A_eq, b_eq = build_incidence(network, network.od_pairs[0])
         layout = VariableLayout(
             n_vars=n_arcs, costs=network.costs(), tolled=network.tolled,
             toll_lb=dict(network.toll_lb))
         return A_eq, b_eq, layout
 
-    blocks, rhs, arc_sets = [], [], []
-    for k, od in enumerate(network.od_pairs):
-        ids = useful.get(k, list(range(n_arcs)))
-        A_k, b_k = build_incidence(network, od, ids)
-        blocks.append(A_k)
-        rhs.append(b_k)
-        arc_sets.append(list(ids))
-    offsets = []
-    off = 0
-    for ids in arc_sets:
-        offsets.append(off)
-        off += len(ids)
-    agg_offset = off
-    n_vars = off + n_arcs
+    blocks, rhs = zip(*(build_incidence(network, od)
+                        for od in network.od_pairs))
+    eye = np.eye(n_arcs)
+    copies = block_diag(*blocks)
+    # 0.0 - eye rather than -eye: the zeros of the coupling stay +0.0
+    A_eq = np.block([[copies, np.zeros((copies.shape[0], n_arcs))],
+                     [np.hstack([eye] * M), 0.0 - eye]])
+    b_eq = np.concatenate([*rhs, np.zeros(n_arcs)])
 
-    rows = sum(B.shape[0] for B in blocks) + n_arcs
-    A_eq = np.zeros((rows, n_vars))
-    b_eq = np.zeros(rows)
-    r = 0
-    for B, rv, o in zip(blocks, rhs, offsets):
-        A_eq[r:r + B.shape[0], o:o + B.shape[1]] = B
-        b_eq[r:r + B.shape[0]] = rv
-        r += B.shape[0]
-    # coupling: sum_od d * y^od_a - y_a = 0 (demand folded into the copies,
-    # each commodity block already carries its own demand on the rhs)
-    for a in range(n_arcs):
-        for ids, o in zip(arc_sets, offsets):
-            if a in ids:
-                A_eq[r + a, o + ids.index(a)] = 1.0
-        A_eq[r + a, agg_offset + a] = -1.0
-
-    costs = np.zeros(n_vars)
-    costs[agg_offset:] = network.costs()
-    tolled = tuple(agg_offset + a for a in network.tolled)
-    toll_lb = {agg_offset + a: v for a, v in network.toll_lb.items()}
-    layout = VariableLayout(n_vars=n_vars, costs=costs, tolled=tolled,
-                            toll_lb=toll_lb)
+    agg = M * n_arcs  # offset of the aggregate flow
+    layout = VariableLayout(
+        n_vars=agg + n_arcs,
+        costs=np.concatenate([np.zeros(agg), network.costs()]),
+        tolled=tuple(agg + a for a in network.tolled),
+        toll_lb={agg + a: v for a, v in network.toll_lb.items()})
     return A_eq, b_eq, layout
 
 
-def to_inequality_form(A_eq, b_eq, nonneg_mask=None):
-    """Rewrite {A_eq y = b_eq, y_i >= 0 on the mask} as A y <= b."""
+def to_inequality_form(A_eq, b_eq):
+    """Rewrite {A_eq y = b_eq, y >= 0} as A y <= b."""
     A_eq = np.atleast_2d(np.asarray(A_eq, float))
     b_eq = np.asarray(b_eq, float).ravel()
     n = A_eq.shape[1]
-    if nonneg_mask is None:
-        nonneg_mask = np.ones(n, bool)
-    nonneg_mask = np.asarray(nonneg_mask, bool).ravel()
-    neg_rows = -np.eye(n)[nonneg_mask]
-    A = np.vstack([A_eq, -A_eq, neg_rows])
-    b = np.concatenate([b_eq, -b_eq, np.zeros(neg_rows.shape[0])])
+    A = np.vstack([A_eq, -A_eq, -np.eye(n)])
+    b = np.concatenate([b_eq, -b_eq, np.zeros(n)])
     return A, b
 
 
@@ -261,21 +232,18 @@ def build_upper_constraints(layout: VariableLayout):
     return np.array(rows), np.array(rhs)
 
 
-def make_objective(layout: VariableLayout, weights=None):
-    """Negative toll revenue F(x, y) = -sum_tolled w_a (x_a - c_a) y_a.
+def make_objective(layout: VariableLayout):
+    """Negative toll revenue F(x, y) = -sum_tolled (x_a - c_a) y_a.
 
     Bilinear: the only nonzero second derivatives are the mixed ones,
-    -w_a on the tolled diagonal pairs.  weights defaults to 1 per
-    tolled component.
+    -1 on the tolled diagonal pairs.
     """
     n = layout.n_vars
     Qxy = np.zeros((n, n))
     ky = np.zeros(n)
-    w = {} if weights is None else dict(weights)
     for i in layout.tolled:
-        wi = w.get(i, 1.0)
-        Qxy[i, i] = -wi
-        ky[i] = wi * layout.costs[i]
+        Qxy[i, i] = -1.0
+        ky[i] = layout.costs[i]
     return quadratic_objective(Qxy=Qxy, ky=ky, n=n)
 
 
@@ -286,18 +254,16 @@ def recover_tolls(x, layout: VariableLayout, tol=1e-6):
     for i in layout.pinned:
         if abs(x[i] - layout.costs[i]) > tol:
             raise InconsistencyError(
-                f"component {layout.labels[i]} is pinned to "
+                f"component x{i + 1} is pinned to "
                 f"{layout.costs[i]} but has value {x[i]}")
     return {i: float(x[i] - layout.costs[i]) for i in layout.tolled}
 
 
-def revenue(x, y, layout: VariableLayout, weights=None):
-    """Toll revenue sum w_a (x_a - c_a) y_a over the tolled components."""
+def revenue(x, y, layout: VariableLayout):
+    """Toll revenue sum (x_a - c_a) y_a over the tolled components."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    w = {} if weights is None else dict(weights)
-    return float(sum(w.get(i, 1.0) * (x[i] - layout.costs[i]) * y[i]
-                     for i in layout.tolled))
+    return float(sum((x[i] - layout.costs[i]) * y[i] for i in layout.tolled))
 
 
 @dataclass
@@ -389,9 +355,9 @@ def preset(name):
                   params=params, start=start, x0=x0, y0=y0)
 
 
-def build_problem(network: TollNetwork, useful_arcs=None):
+def build_problem(network: TollNetwork):
     """Generic pipeline: network -> BilevelProblem (plus the layout)."""
-    A_eq, b_eq, layout = assemble_lower_level(network, useful_arcs)
+    A_eq, b_eq, layout = assemble_lower_level(network)
     A, b = to_inequality_form(A_eq, b_eq)
     D, d = build_upper_constraints(layout)
     objective = make_objective(layout)

@@ -94,6 +94,16 @@ def test_nonfinite_entries_rejected(tmp_path):
     assert rc == 2
 
 
+def test_objective_const_not_finite(tmp_path, capsys):
+    """A const that reads as nan is a parse error (exit 2), not a solve
+    with F = nan and a report that is not valid JSON."""
+    doc = _box_doc()
+    doc["objective"]["const"] = "nan"
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert "objective.const: not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("block, key, value", [
     (None, "A", "abc"),
     (None, "A", [[-1.0], [1.0, 2.0]]),
@@ -229,11 +239,14 @@ def _toll_doc():
     ("od", "origin", None), ("od", "destination", None),
     ("arcs", "cost", "cheap"), ("arcs", "toll_lb", "low"),
     ("od", "demand", "lots"), ("od", "demand", [1.0]),
+    ("arcs", "cost", "nan"), ("arcs", "toll_lb", "inf"),
+    ("od", "demand", "inf"),
 ])
 def test_toll_entry_missing_or_not_numeric(tmp_path, capsys, group, key,
                                            value):
-    """A missing key (value None) or a non-numeric cost, bound or demand
-    is a parse error (exit 2) that names the entry, not a traceback."""
+    """A missing key (value None) or a non-numeric or non-finite cost,
+    bound or demand is a parse error (exit 2) that names the entry, not
+    a traceback or a solve that prints a toll of nan."""
     doc = _toll_doc()
     if value is None:
         del doc[group][0][key]
@@ -242,6 +255,26 @@ def test_toll_entry_missing_or_not_numeric(tmp_path, capsys, group, key,
     rc = cli.main(["solve", _write(tmp_path, doc)])
     assert rc == 2
     assert f"{group}[0].{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, params", [
+    (["--delta", "inf"], {}),
+    (["--alpha", "inf"], {}),
+    (["--t1", "inf"], {}),
+    (["--eps", "nan"], {}),
+    ([], {"delta": float("inf")}),  # written as JSON Infinity
+    ([], {"t": [0.045, float("inf"), 0.025, 0.005, 0.0025]}),
+], ids=["delta-flag", "alpha-flag", "t1-flag", "eps-flag", "delta-file",
+        "t-file"])
+def test_nonfinite_params_rejected(tmp_path, capsys, flags, params):
+    """A non-finite parameter from a flag or the file is a validation
+    failure (exit 2), not a solve that reports convergence at once or
+    writes NaN into the report."""
+    doc = _box_doc()
+    doc["params"].update(params)
+    rc = cli.main(["solve", _write(tmp_path, doc), *flags])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, key, value, context", [

@@ -147,6 +147,18 @@ def test_penalty_params_validation():
     assert np.allclose(scalar_t.t, 0.3)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", ["alpha", "t", "epsilon", "delta", "rho",
+                                  "p_exp", "beta", "sigma", "max_iter"])
+def test_penalty_params_reject_nonfinite(name, value):
+    """A non-finite scalar, or one non-finite t entry, is rejected as
+    such (an infinite delta used to stop every solve at once)."""
+    if name == "t":
+        value = [0.045, value, 0.025, 0.005, 0.0025]
+    with pytest.raises(ValueError, match="finite"):
+        PenaltyParams(**{name: value})
+
+
 def test_validate_accepts_good_and_flags_bad():
     pr = make_ex_fractional()
     assert validate(pr) == []

@@ -126,10 +126,6 @@ def test_to_inequality_form():
     assert A.shape == (4, 2)
     assert np.array_equal(A, [[1, 1], [-1, -1], [-1, 0], [0, -1]])
     assert np.array_equal(b, [3, -3, 0, 0])
-    # masked nonnegativity skips the free variable
-    A2, b2 = to_inequality_form([[1.0, 1.0]], [3.0],
-                                nonneg_mask=[True, False])
-    assert A2.shape == (3, 2)
 
 
 def test_recover_tolls_and_revenue():
@@ -176,6 +172,37 @@ def test_assemble_lower_level_two_commodities():
     assert np.abs(A_eq @ stacked - b_eq).max() == 0.0
 
 
+def test_assemble_lower_level_general_block_form():
+    """Three pairs with non-unit demands and one toll bound take the
+    general path: A_eq = [[blockdiag(B_1, B_2, B_3), 0], [I I I, -I]]."""
+    arcs = [(1, 2, 1.0), (2, 3, 2.0), (1, 3, 5.0), (3, 4, 1.0),
+            (2, 4, 4.0), (1, 4, 9.0)]
+    od = [(1, 3, 2.0), (2, 4, 0.5), (1, 4, 3.0)]
+    network = TollNetwork(nodes=[1, 2, 3, 4], arcs=arcs, tolled=(1, 4),
+                          od_pairs=od, toll_lb={4: 0.5})
+    A_eq, b_eq, layout = assemble_lower_level(network)
+    n_arcs, M = 6, 3
+    # three incidence blocks of 3 rows each plus one coupling row per arc
+    assert A_eq.shape == (3 * M + n_arcs, (M + 1) * n_arcs)
+    assert b_eq.shape == (3 * M + n_arcs,)
+    assert layout.n_vars == (M + 1) * n_arcs
+    # each pair's shortest path, scaled by its demand, with the aggregate
+    paths = ([0, 1], [1, 3], [0, 1, 3])  # 1-2-3, 2-3-4, 1-2-3-4
+    flows = []
+    for path, (_, _, demand) in zip(paths, od):
+        flow = np.zeros(n_arcs)
+        flow[path] = demand
+        flows.append(flow)
+    y = np.concatenate(flows + [sum(flows)])
+    assert np.array_equal(A_eq @ y, b_eq)
+    # the priced components are the aggregate block's
+    offset = M * n_arcs
+    assert layout.tolled == (offset + 1, offset + 4)
+    assert layout.toll_lb == {offset + 4: 0.5}
+    assert np.array_equal(layout.costs[:offset], np.zeros(offset))
+    assert np.array_equal(layout.costs[offset:], network.costs())
+
+
 def test_shortest_path_invariant_random_tolls():
     """For any nonnegative tolls, the lower-level optimal value of the
     published single-commodity program equals the shortest 1 -> 5
@@ -200,4 +227,3 @@ def test_has_path():
     network = preset("network1").network
     assert network.has_path(1, 5)
     assert not network.has_path(5, 1)
-    assert not network.has_path(1, 5, arc_ids=[0, 3])  # truncated arc set
