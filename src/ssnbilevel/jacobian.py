@@ -8,12 +8,11 @@ variant replaces max(0, X) by (X + sqrt(X^2 + eps)) / 2, whose
 classical derivative has the same block structure with effective
 weights p = (1 + X / sqrt(X^2 + eps)) / 2.
 
-Every element of one problem fits a fixed sparsity pattern that
-depends only on (n, l, m) and the nonzero patterns of A and D (the
-Hessian blocks count as full n x n).  The pattern is built once per
-problem and cached on it (``BilevelProblem.element_pattern``); each
-assembly fills only the values and drops the exact zeros, so the CSR
-matrix stores exactly the nonzero entries of the element.
+Every element is filled from the problem's residual map
+(``BilevelProblem.residual_map``, see residual.py), on the fixed CSR
+pattern the map holds; each assembly computes the values and drops the
+exact zeros, so the CSR matrix stores exactly the nonzero entries of
+the element.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .problem import BilevelProblem, block_slices
-from .residual import ResidualBlocks, eval_residual_vec, selection_arguments
+from .problem import unpack
+from .residual import affine_part, eval_residual_vec, selection_arguments
 
 
 def selection_weights(X):
@@ -51,115 +50,25 @@ class JacobianElement:
         return self.sparse.toarray()
 
 
-@dataclass(frozen=True)
-class ElementPattern:
-    """Every position a Jacobian element of one problem can fill.
-
-    indices and indptr are the CSR structure of all those positions;
-    order permutes the values of _values (listed block by block) into
-    that CSR order.  Several blocks repeat the nonzeros of A and D,
-    which are kept with their row indices.
-    """
-
-    shape: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
-    order: np.ndarray
-    a_nz: tuple  # (rows, values) of the nonzeros of A
-    d_nz: tuple  # the same for D
-
-
-def element_pattern(problem: BilevelProblem) -> ElementPattern:
-    """Build the fixed sparsity pattern of the problem's elements."""
-    n, l, m = problem.n, problem.l, problem.m
-    col = {name: s.start for name, s in block_slices(n, l, m).items()}
-    lengths = (n, n, l, l, l, n, l, m, l, l, l, l)
-    row = dict(zip(ResidualBlocks.ORDER,
-                   np.concatenate(([0], np.cumsum(lengths)))))
-    ai, aj = np.nonzero(problem.A)
-    di, dj = np.nonzero(problem.D)
-    full = np.divmod(np.arange(n * n), n)  # row-major n x n block
-    eye_n, eye_l, eye_m = ((np.arange(k),) * 2 for k in (n, l, m))
-    # (row block, column block, (local rows, local columns)), in the
-    # order in which _values lists the entries
-    blocks = [
-        ("stat_x", "x", full), ("stat_x", "y", full),
-        ("stat_x", "lam1", (dj, di)), ("stat_x", "lam6", eye_n),
-        ("stat_y", "x", full), ("stat_y", "y", full),
-        ("stat_y", "s", (aj, ai)), ("stat_y", "lam2", (aj, ai)),
-        ("stat_z", "r", eye_l), ("stat_z", "lam6", (ai, aj)),
-        ("stat_z", "lam3", eye_l),
-        ("stat_r", "z", eye_l), ("stat_r", "lam7", eye_l),
-        ("stat_r", "lam4", eye_l),
-        ("stat_s", "y", (ai, aj)), ("stat_s", "lam7", eye_l),
-        ("stat_s", "lam5", eye_l),
-        ("eq_primal", "x", eye_n), ("eq_primal", "z", (aj, ai)),
-        ("eq_simplex", "r", eye_l), ("eq_simplex", "s", eye_l),
-        ("comp1", "x", (di, dj)), ("comp1", "lam1", eye_m),
-        ("comp2", "y", (ai, aj)), ("comp2", "lam2", eye_l),
-        ("comp3", "z", eye_l), ("comp3", "lam3", eye_l),
-        ("comp4", "r", eye_l), ("comp4", "lam4", eye_l),
-        ("comp5", "s", eye_l), ("comp5", "lam5", eye_l),
-    ]
-    rows = np.concatenate([row[rb] + i for rb, _, (i, _) in blocks])
-    cols = np.concatenate([col[cb] + j for _, cb, (_, j) in blocks])
-    N = problem.size
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
-    return ElementPattern(shape=(N, N), indices=cols[order], indptr=indptr,
-                          order=order,
-                          a_nz=(ai, problem.A[ai, aj]),
-                          d_nz=(di, problem.D[di, dj]))
-
-
-def _values(problem, u, params, ps, pattern):
-    """Values of the element with selection weights ps, in the block
-    order of element_pattern."""
-    n, l = problem.n, problem.l
-    obj = problem.objective
-    alpha, t = params.alpha, params.t
-    p1, p2, p3, p4, p5 = ps
-    ai, av = pattern.a_nz
-    di, dv = pattern.d_nz
-    one_n, one_l = np.ones(n), np.ones(l)
-    return np.concatenate([
-        # stat_x
-        np.ravel(obj.Qxx), np.ravel(obj.Qxy), dv, one_n,
-        # stat_y
-        np.ravel(obj.Qxy.T), np.ravel(obj.Qyy),
-        -alpha * av, av,
-        # stat_z, stat_r, stat_s
-        alpha * one_l, av, -one_l,
-        alpha * one_l, one_l, -one_l,
-        -alpha * av, one_l, -one_l,
-        # eq_primal, eq_simplex
-        one_n, av,
-        one_l, one_l,
-        # comp1: lam1 - max(0, lam1 + t1 (Dx - d))
-        -t[0] * p1[di] * dv, 1.0 - p1,
-        # comp2
-        -t[1] * p2[ai] * av, 1.0 - p2,
-        # comp3..comp5: arguments lam_i - t_i (z, r, s)
-        t[2] * p3, 1.0 - p3,
-        t[3] * p4, 1.0 - p4,
-        t[4] * p5, 1.0 - p5,
-    ])
-
-
 def assemble(problem, u, params, ps) -> scipy.sparse.csr_array:
     """The Jacobian with selection weights ps = (p1, ..., p5) per
-    complementarity family, as a CSR matrix without stored zeros.
+    complementarity family (or any split of the comp rows), as a CSR
+    matrix without stored zeros.
 
     The one assembly path of the generalized element, the smoothed
     Jacobian and the regularity probe.
     """
-    pattern = problem.element_pattern
-    data = _values(problem, u, params, ps, pattern)[pattern.order]
+    phimap = problem.residual_map
+    a, b, h = phimap.coef
+    zero = np.zeros(phimap.head)
+    p = np.concatenate((zero, *ps))[phimap.rows]
+    t = np.concatenate((zero, phimap.t_rows(params.t)))[phimap.rows]
+    data = a + params.alpha * b - p * (a + t * h)
     keep = data != 0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return scipy.sparse.csr_array(
-        (data[keep], pattern.indices[keep], kept_before[pattern.indptr]),
-        shape=pattern.shape)
+        (data[keep], phimap.indices[keep], kept_before[phimap.indptr]),
+        shape=(problem.size, problem.size))
 
 
 def generalized_element(problem, u, params) -> JacobianElement:
@@ -180,24 +89,17 @@ def smoothed_residual(problem, u, params):
 
     Coincides with the nonsmooth residual when params.epsilon == 0.
     """
-    phi = eval_residual_vec(problem, u, params)
     if params.epsilon == 0:
-        return phi
-    n, l, m = problem.n, problem.l, problem.m
-    Xs = selection_arguments(problem, u, params)
-    lams = (u.lam1, u.lam2, u.lam3, u.lam4, u.lam5)
-    smooth_comp = np.concatenate(
-        [lam - 0.5 * (X + np.sqrt(X ** 2 + params.epsilon))
-         for lam, X in zip(lams, Xs)])
-    head = 3 * n + 4 * l  # rows before the complementarity blocks
-    phi[head:] = smooth_comp
-    return phi
+        return eval_residual_vec(problem, u, params)
+    return _smoothed(problem, u, params)[0]
 
 
-def _smoothed_weights(problem, u, params):
-    eps = params.epsilon
-    return tuple(0.5 * (1.0 + X / np.sqrt(X ** 2 + eps))
-                 for X in selection_arguments(problem, u, params))
+def _smoothed(problem, u, params):
+    """Phi_eps(u) and its Jacobian's selection weights, as ps for assemble."""
+    phi, X = affine_part(problem, u, params)
+    root = np.sqrt(X ** 2 + params.epsilon)
+    phi[problem.residual_map.head:] -= 0.5 * (X + root)
+    return phi, (0.5 * (1.0 + X / root),)
 
 
 def smoothed_jacobian(problem, u, params):
@@ -206,7 +108,7 @@ def smoothed_jacobian(problem, u, params):
     if params.epsilon == 0:
         return generalized_element(problem, u, params).matrix
     return assemble(problem, u, params,
-                    _smoothed_weights(problem, u, params)).toarray()
+                    _smoothed(problem, u, params)[1]).toarray()
 
 
 def fd_jacobian(problem, u, params, smoothed=True):
@@ -215,8 +117,6 @@ def fd_jacobian(problem, u, params, smoothed=True):
 
     Reference implementation for verification; O(N) residual sweeps.
     """
-    from .problem import unpack
-
     n, l, m = problem.n, problem.l, problem.m
     fun = smoothed_residual if smoothed else eval_residual_vec
 
@@ -237,9 +137,8 @@ def merit_gradient(problem, u, params, smoothed=True):
     """Gradient of Psi = 1/2 ||Phi||^2, i.e. C^T Phi for the matching
     Jacobian (smoothed or a generalized element)."""
     if smoothed and params.epsilon > 0:
-        phi = smoothed_residual(problem, u, params)
-        C = assemble(problem, u, params,
-                     _smoothed_weights(problem, u, params))
+        phi, ps = _smoothed(problem, u, params)
+        C = assemble(problem, u, params, ps)
     else:
         phi = eval_residual_vec(problem, u, params)
         C = generalized_element(problem, u, params).sparse

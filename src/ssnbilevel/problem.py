@@ -140,12 +140,12 @@ class BilevelProblem:
         return 3 * self.n + 8 * self.l + self.m
 
     @cached_property
-    def element_pattern(self):
-        """Sparsity pattern shared by every generalized-Jacobian element
-        of this problem, built on first use (see jacobian.py)."""
-        from .jacobian import element_pattern
+    def residual_map(self):
+        """Phi of this problem as one sparse affine map, built on first
+        use (see residual.py)."""
+        from .residual import residual_map
 
-        return element_pattern(self)
+        return residual_map(self)
 
 
 #: block names of the stacked variable, in pack order
@@ -298,8 +298,9 @@ class PenaltyParams:
         scalars = [self.alpha, self.epsilon, self.delta, self.rho,
                    self.p_exp, self.beta, self.sigma, self.max_iter]
         checks = [
-            (np.isfinite(scalars).all() and np.isfinite(self.t).all(),
-             "every parameter must be finite"),
+            (np.isfinite(scalars).all() and np.isfinite(self.t).all()
+             and not any(isinstance(v, (bool, np.bool_)) for v in scalars),
+             "every parameter must be finite and not a bool"),
             (self.alpha > 0, "alpha must be positive"),
             (np.all(self.t > 0), "all t components must be positive"),
             (self.epsilon >= 0, "epsilon must be nonnegative"),
@@ -308,7 +309,8 @@ class PenaltyParams:
             (self.p_exp > 2, "p_exp must exceed 2"),
             (0 < self.beta < 1, "beta must lie in (0, 1)"),
             (0 < self.sigma < 0.5, "sigma must lie in (0, 1/2)"),
-            (self.max_iter >= 1, "max_iter must be positive"),
+            (isinstance(self.max_iter, (int, np.integer))
+             and self.max_iter >= 1, "max_iter must be a positive integer"),
         ]
         for ok, msg in checks:
             if not ok:

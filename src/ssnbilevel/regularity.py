@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import assemble, selection_weights
-from .residual import selection_arguments
+from .residual import affine_part, selection_arguments
 
 #: |X^i_j| <= TOL counts as a kink (in both P_i and Q_i)
 TOL = 1e-9
@@ -121,44 +121,28 @@ def probe_nonsingularity(problem, u, params, max_elements=8):
     drawn with seed 0 otherwise) together with the midpoint element.  A
     matrix counts as singular when its condition number exceeds 1e12.
     """
-    Xs = selection_arguments(problem, u, params)
-    base = [selection_weights(X) for X in Xs]
-    tie_masks = [np.abs(X) <= TOL for X in Xs]
-    tie_index = [(fam, j) for fam, mask in enumerate(tie_masks)
-                 for j in np.flatnonzero(mask)]
-    k = len(tie_index)
-
-    assignments = []
-    if k == 0:
-        assignments.append(())
-    elif 2 ** k <= max_elements - 1:
-        assignments.extend(itertools.product((0.0, 1.0), repeat=k))
+    _, X = affine_part(problem, u, params)
+    base = selection_weights(X)
+    ties = np.flatnonzero(np.abs(X) <= TOL)
+    k = ties.size
+    if 2 ** k <= max_elements - 1:
+        corners = list(itertools.product((0.0, 1.0), repeat=k))
     else:
         rng = np.random.default_rng(0)
-        assignments.append((0.0,) * k)
-        assignments.append((1.0,) * k)
-        while len(assignments) < max_elements - 1:
-            assignments.append(tuple(rng.integers(0, 2, k).astype(float)))
-
-    worst = 0.0
-    tried = 0
-    ok = True
-    candidates = [None] + assignments if k else [None]
-    for assign in candidates:
-        ps = [p.copy() for p in base]
-        if assign is None:
-            # midpoint element: tied rows keep weight 1/2
-            pass
-        else:
-            for (fam, j), val in zip(tie_index, assign):
-                ps[fam][j] = val
-        cond = np.linalg.cond(assemble(problem, u, params, ps).toarray())
-        worst = max(worst, cond)
-        tried += 1
-        if not np.isfinite(cond) or cond > 1e12:
-            ok = False
-    return ProbeResult(nonsingular=ok, n_elements=tried, n_ties=k,
-                       worst_cond=float(worst))
+        corners = [(0.0,) * k, (1.0,) * k]
+        while len(corners) < max_elements - 1:
+            corners.append(tuple(rng.integers(0, 2, k).astype(float)))
+    conds = []
+    # None is the midpoint element: tied rows keep weight 1/2
+    for corner in [None] + corners if k else [None]:
+        p = base.copy()
+        if corner is not None:
+            p[ties] = corner
+        conds.append(np.linalg.cond(
+            assemble(problem, u, params, (p,)).toarray()))
+    return ProbeResult(
+        nonsingular=all(np.isfinite(c) and c <= 1e12 for c in conds),
+        n_elements=len(conds), n_ties=k, worst_cond=float(max(0.0, *conds)))
 
 
 def certify(problem, u, params):

@@ -22,8 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .problem import BilevelProblem, BlockVector, IterateU, PenaltyParams
+from .problem import (BilevelProblem, BlockVector, IterateU, PenaltyParams,
+                      block_slices)
+
+CONST, ALPHA, SELECT = 0, 1, 2  # the parts K0, K1 and H of the map
 
 
 def eval_pi(problem: BilevelProblem, y, z):
@@ -48,6 +52,118 @@ class ResidualBlocks(BlockVector):
              "comp1", "comp2", "comp3", "comp4", "comp5")
 
 
+def _table(problem):
+    """Phi block by block as (row block, column block, matrix, part).
+
+    A scalar c stands for c times the identity; column block None marks
+    a constant vector.  comp_i = lam_i - max(0, X_i) keeps its lam_i
+    identity in K0 and the rest of X_i = lam_i + t_i (H u + h)_i, with
+    H u + h = (Dx - d, Ay - b, -z, -r, -s), in H and h.
+    """
+    A, D, b, obj = problem.A, problem.D, problem.b, problem.objective
+    return [
+        ("stat_x", "x", obj.Qxx, CONST), ("stat_x", "y", obj.Qxy, CONST),
+        ("stat_x", "lam1", D.T, CONST), ("stat_x", "lam6", 1.0, CONST),
+        ("stat_x", None, obj.kx, CONST),
+        ("stat_y", "x", obj.Qxy.T, CONST), ("stat_y", "y", obj.Qyy, CONST),
+        ("stat_y", "s", -A.T, ALPHA), ("stat_y", "lam2", A.T, CONST),
+        ("stat_y", None, obj.ky, CONST),
+        ("stat_z", "r", 1.0, ALPHA), ("stat_z", "lam6", A, CONST),
+        ("stat_z", "lam3", -1.0, CONST),
+        ("stat_r", "z", 1.0, ALPHA), ("stat_r", "lam7", 1.0, CONST),
+        ("stat_r", "lam4", -1.0, CONST),
+        ("stat_s", "y", -A, ALPHA), ("stat_s", "lam7", 1.0, CONST),
+        ("stat_s", "lam5", -1.0, CONST), ("stat_s", None, b, ALPHA),
+        ("eq_primal", "x", 1.0, CONST), ("eq_primal", "z", A.T, CONST),
+        ("eq_simplex", "r", 1.0, CONST), ("eq_simplex", "s", 1.0, CONST),
+        ("eq_simplex", None, -1.0, CONST),
+        ("comp1", "x", D, SELECT), ("comp1", "lam1", 1.0, CONST),
+        ("comp1", None, -problem.d, SELECT),
+        ("comp2", "y", A, SELECT), ("comp2", "lam2", 1.0, CONST),
+        ("comp2", None, -b, SELECT),
+        ("comp3", "z", -1.0, SELECT), ("comp3", "lam3", 1.0, CONST),
+        ("comp4", "r", -1.0, SELECT), ("comp4", "lam4", 1.0, CONST),
+        ("comp5", "s", -1.0, SELECT), ("comp5", "lam5", 1.0, CONST),
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualMap:
+    """Phi of one problem as a constant sparse affine map,
+
+        Phi(u) = K0 u + k0 + alpha (K1 u + k1) - [0; max(0, X)],
+        X = lam + t * (H u + h)  on the comp rows,
+
+    with lam = u[lam1..lam5] the comp rows of K0 u, K1 zero below the
+    head rows and H zero above them: stacked @ u + offset is
+    [K0 u + k0; K1 u + k1 + H u + h].  coef holds the entries (a, b, h)
+    of K0, K1 and H on the CSR pattern (indices, indptr, rows) of every
+    Jacobian element, whose values are a + alpha b - p (a + t h) for the
+    selection weight p of each row; on the comp rows a is the lam
+    diagonal, the one position where two blocks add up.
+    """
+
+    lengths: tuple  # row lengths of the ResidualBlocks, in ORDER
+    head: int  # first comp row, 3n + 4l
+    stacked: scipy.sparse.csr_array
+    offset: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    coef: np.ndarray
+
+    def t_rows(self, t):
+        """t_i repeated over the rows of comp_i."""
+        return np.repeat(t, self.lengths[7:])
+
+
+def residual_map(problem: BilevelProblem) -> ResidualMap:
+    """Build the residual map of the problem from the block table."""
+    n, l, m, N = problem.n, problem.l, problem.m, problem.size
+    lengths = (n, n, l, l, l, n, l, m, l, l, l, l)
+    size = dict(zip(ResidualBlocks.ORDER, lengths))
+    start = dict(zip(ResidualBlocks.ORDER, np.cumsum((0,) + lengths)))
+    cols = block_slices(n, l, m)
+    offset = np.zeros(2 * N)
+    i, j, v, part = [], [], [], []
+    for rb, cb, mat, p in _table(problem):
+        row = start[rb] + N * (p != CONST)
+        if cb is None:
+            offset[row:row + size[rb]] = mat
+            continue
+        block = scipy.sparse.coo_array(mat * scipy.sparse.eye_array(size[rb])
+                                       if np.isscalar(mat) else mat)
+        i.append(start[rb] + block.row)
+        j.append(cols[cb].start + block.col)
+        v.append(block.data)
+        part.append(np.full(block.nnz, p))
+    i, j, v, part = map(np.concatenate, (i, j, v, part))
+    stacked = scipy.sparse.csr_array((v, (i + N * (part != CONST), j)),
+                                     shape=(2 * N, N))
+    stacked.sort_indices()
+    # one position per distinct (row, column), in CSR order
+    keys, position = np.unique(i * N + j, return_inverse=True)
+    coef = np.zeros((3, keys.size))
+    coef[part, position] = v
+    rows = keys // N
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
+    return ResidualMap(lengths=lengths, head=int(start["comp1"]),
+                       stacked=stacked, offset=offset, indices=keys % N,
+                       indptr=indptr, rows=rows, coef=coef)
+
+
+def affine_part(problem: BilevelProblem, u: IterateU, params: PenaltyParams):
+    """Phi(u) without its max terms, and the selection arguments X of
+    all five families in one vector, from one product with the map."""
+    phimap = problem.residual_map
+    N, head = problem.size, phimap.head
+    w = phimap.stacked @ u.vec + phimap.offset
+    phi = w[:N]
+    X = phi[head:] + phimap.t_rows(params.t) * w[N + head:]
+    phi[:head] += params.alpha * w[N:N + head]
+    return phi, X
+
+
 def selection_arguments(problem: BilevelProblem, u: IterateU,
                         params: PenaltyParams):
     """Arguments X^i = lam_i + t_i * h_i of the max terms, families 1..5.
@@ -56,37 +172,16 @@ def selection_arguments(problem: BilevelProblem, u: IterateU,
     as a tuple (X1, ..., X5); the sign pattern of these vectors selects
     the active piece of each complementarity residual.
     """
-    t = params.t
-    X1 = u.lam1 + t[0] * (problem.D @ u.x - problem.d)
-    X2 = u.lam2 + t[1] * (problem.A @ u.y - problem.b)
-    X3 = u.lam3 - t[2] * u.z
-    X4 = u.lam4 - t[3] * u.r
-    X5 = u.lam5 - t[4] * u.s
-    return X1, X2, X3, X4, X5
+    _, X = affine_part(problem, u, params)
+    return tuple(np.split(X, np.cumsum(problem.residual_map.lengths[7:11])))
 
 
 def eval_residual(problem: BilevelProblem, u: IterateU,
                   params: PenaltyParams) -> ResidualBlocks:
     """Evaluate all blocks of Phi at the iterate u."""
-    A, D = problem.A, problem.D
-    n, l, m = problem.n, problem.l, problem.m
-    obj = problem.objective
-    alpha = params.alpha
-    X1, X2, X3, X4, X5 = selection_arguments(problem, u, params)
-    lams = (u.lam1, u.lam2, u.lam3, u.lam4, u.lam5)
-    comps = [lam - np.maximum(0.0, X)
-             for lam, X in zip(lams, (X1, X2, X3, X4, X5))]
-    vec = np.concatenate([
-        obj.grad_x(u.x, u.y) + D.T @ u.lam1 + u.lam6,  # stat_x
-        obj.grad_y(u.x, u.y) - alpha * A.T @ u.s + A.T @ u.lam2,  # stat_y
-        alpha * u.r + A @ u.lam6 - u.lam3,  # stat_z
-        alpha * u.z + u.lam7 - u.lam4,  # stat_r
-        alpha * (problem.b - A @ u.y) + u.lam7 - u.lam5,  # stat_s
-        A.T @ u.z + u.x,  # eq_primal
-        u.r + u.s - 1.0,  # eq_simplex
-        *comps,  # comp1..comp5
-    ])
-    return ResidualBlocks.wrap(vec, (n, n, l, l, l, n, l, m, l, l, l, l))
+    phi, X = affine_part(problem, u, params)
+    phi[problem.residual_map.head:] -= np.maximum(0.0, X)
+    return ResidualBlocks.wrap(phi, problem.residual_map.lengths)
 
 
 def eval_residual_vec(problem, u, params):
@@ -109,27 +204,20 @@ def check_noc(problem: BilevelProblem, u: IterateU, params: PenaltyParams):
     set independently of the max-based residual.
     """
     blocks = eval_residual(problem, u, params)
-    viol = {
-        "stationarity": max(float(np.abs(getattr(blocks, k)).max())
-                            for k in ("stat_x", "stat_y", "stat_z",
-                                      "stat_r", "stat_s")),
+    n, l, m = problem.n, problem.l, problem.m
+    phimap, N = problem.residual_map, problem.size
+    w = phimap.stacked @ u.vec + phimap.offset
+    # lam = (lam1, ..., lam5) and g = (Dx - d, Ay - b, -z, -r, -s)
+    lam, g = w[phimap.head:N], w[N + phimap.head:]
+    viol = {  # stat_x..stat_s are the first 2n + 3l rows
+        "stationarity": float(np.abs(blocks.vec[:2 * n + 3 * l]).max()),
         "lower_stationarity": float(np.abs(blocks.eq_primal).max()),
         "simplex": float(np.abs(blocks.eq_simplex).max()),
-        "primal_upper": float(np.maximum(problem.D @ u.x - problem.d, 0).max()),
-        "primal_lower": float(np.maximum(problem.A @ u.y - problem.b, 0).max()),
-        "primal_signs": float(max(np.maximum(-u.z, 0).max(),
-                                  np.maximum(-u.r, 0).max(),
-                                  np.maximum(-u.s, 0).max())),
-        "dual_signs": float(max(np.maximum(-lam, 0).max() if lam.size else 0.0
-                                for lam in (u.lam1, u.lam2, u.lam3,
-                                            u.lam4, u.lam5))),
-        "complementarity": float(max(
-            np.abs(u.lam1 * (problem.D @ u.x - problem.d)).max()
-            if u.lam1.size else 0.0,
-            np.abs(u.lam2 * (problem.A @ u.y - problem.b)).max(),
-            np.abs(u.lam3 * u.z).max(),
-            np.abs(u.lam4 * u.r).max(),
-            np.abs(u.lam5 * u.s).max())),
+        "primal_upper": float(np.maximum(g[:m], 0).max(initial=0.0)),
+        "primal_lower": float(np.maximum(g[m:m + l], 0).max()),
+        "primal_signs": float(np.maximum(g[m + l:], 0).max()),
+        "dual_signs": float(np.maximum(-lam, 0).max()),
+        "complementarity": float(np.abs(lam * g).max()),
     }
     viol["satisfied"] = all(v <= 1e-8 for v in viol.values())
     return viol
@@ -151,12 +239,9 @@ class AffineSystem:
     t_expanded: np.ndarray
 
     def psi(self, X, problem):
-        n, l = problem.n, problem.l
-        x, y = X[:n], X[n:2 * n]
-        z, r, s = (X[2 * n:2 * n + l], X[2 * n + l:2 * n + 2 * l],
-                   X[2 * n + 2 * l:2 * n + 3 * l])
-        return np.concatenate([problem.D @ x - problem.d,
-                               problem.A @ y - problem.b, -z, -r, -s])
+        phimap, N = problem.residual_map, problem.size
+        H = phimap.stacked[N + phimap.head:, :X.shape[0]]
+        return H @ X + phimap.offset[N + phimap.head:]
 
 
 def assemble_affine_system(problem: BilevelProblem,
@@ -169,18 +254,13 @@ def assemble_affine_system(problem: BilevelProblem,
     (lam1, ..., lam7).  The smooth rows of every generalized-Jacobian
     element are [B1 B2], and v is minus those rows of Phi at u = 0.
     """
-    from .jacobian import generalized_element
-
     if not problem.objective.affine:
         raise ValueError("affine system requires an affine upper objective")
-    n, l, m = problem.n, problem.l, problem.m
-    rows, nX = 3 * n + 4 * l, 2 * n + 3 * l
-    zero = IterateU.zeros(n, l, m)
-    B = generalized_element(problem, zero, params).matrix[:rows]
+    phimap, N = problem.residual_map, problem.size
+    head, nX = phimap.head, 2 * problem.n + 3 * problem.l
+    S, k = phimap.stacked, phimap.offset
+    B = (S[:head] + params.alpha * S[N:N + head]).toarray()
     # 0.0 - phi rather than -phi: rows without a constant term get +0.0
-    v = 0.0 - eval_residual_vec(problem, zero, params)[:rows]
-    t = params.t
-    t_expanded = np.concatenate([np.full(m, t[0])] +
-                                [np.full(l, t[i]) for i in range(1, 5)])
+    v = 0.0 - (k[:head] + params.alpha * k[N:N + head])
     return AffineSystem(B1=B[:, :nX], B2=B[:, nX:], v=v,
-                        t_expanded=t_expanded)
+                        t_expanded=phimap.t_rows(params.t))

@@ -51,6 +51,8 @@ class TollNetwork:
     toll_lb: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(set(self.tolled)) != len(self.tolled):
+            raise ValueError(f"tolled indices repeat: {self.tolled}")
         self.tolled = tuple(sorted(self.tolled))
         node_set = set(self.nodes)
         for i, (tail, head, cost) in enumerate(self.arcs):
@@ -58,16 +60,20 @@ class TollNetwork:
                 raise ValueError(f"arc {i}: tail equals head ({tail})")
             if tail not in node_set or head not in node_set:
                 raise ValueError(f"arc {i}: endpoint not a declared node")
-            if cost < 0:
-                raise ValueError(f"arc {i}: negative cost {cost}")
+            if not 0 <= cost < np.inf:
+                raise ValueError(f"arc {i}: cost {cost} not finite and >= 0")
+        if not all(np.isfinite(lb) for lb in self.toll_lb.values()
+                   if lb is not None):
+            raise ValueError(f"toll_lb not finite: {self.toll_lb}")
         for a in self.tolled:
             if not 0 <= a < len(self.arcs):
                 raise ValueError(f"tolled index {a} out of range")
         for (o, dst, dem) in self.od_pairs:
             if o not in node_set or dst not in node_set:
                 raise ValueError(f"od pair ({o},{dst}): unknown node")
-            if dem <= 0:
-                raise ValueError(f"od pair ({o},{dst}): demand must be > 0")
+            if not 0 < dem < np.inf:
+                raise ValueError(f"od pair ({o},{dst}): demand {dem} not "
+                                 "finite and > 0")
 
     @property
     def n_arcs(self):

@@ -1,5 +1,10 @@
 """Shared fixtures: the two analytic desk examples with their known
-roots, plus a generator of random desk-scale instances."""
+roots, a generator of random desk-scale instances, and the benchmark's
+modules loaded from their files."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +104,21 @@ def ex_fractional():
 @pytest.fixture
 def ex_box():
     return make_ex_box()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py loaded from its file, unchanged."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    return load_perfbench("workloads")

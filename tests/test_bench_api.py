@@ -1,36 +1,20 @@
-"""The public names the benchmark's workloads use.
+"""The public names the benchmark uses.
 
 perfbench/workloads.py builds its inputs through IterateU(**blocks),
-pack, unpack, BLOCK_ORDER and the objective's grad_*/hess_* methods.
-Building the three workloads here makes a break in those names fail the
-test suite instead of the benchmark run.  The module is loaded from its
-file and not changed.
+pack, unpack, BLOCK_ORDER and the objective's grad_*/hess_* methods, and
+perfbench/tracing.py wraps module attributes of newton.py.  Building the
+three workloads and tracing one solve here makes a break in those names
+fail the test suite instead of the benchmark run.  The modules are
+loaded from their files and not changed.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssnbilevel import eval_residual_vec, validate
+from ssnbilevel import (PenaltyParams, default_start, eval_residual_vec,
+                        validate)
 
-WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
-             / "workloads.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
+from conftest import load_perfbench, make_ex_box
 
 
 @pytest.mark.parametrize("name", ["grid", "desk", "warm"])
@@ -47,3 +31,22 @@ def test_workload_setup_builds(workloads, name):
             phi = eval_residual_vec(job.problem, job.root, job.params)
             assert np.linalg.norm(phi) <= 1e-9
             assert 0 < np.abs(job.u0.vec - job.root.vec).max() < 1e-2
+
+
+def test_traced_solve_records_each_layer():
+    """The traced benchmark (--trace 1) wraps newton's module attributes;
+    a solve under the tracer must record spans for each of them."""
+    tracing = load_perfbench("tracing")
+    problem = make_ex_box()
+    u0 = default_start(problem, [1.5], [0.5])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = tracer.solve(problem, u0, PenaltyParams(alpha=30.0))
+    assert report.iterations > 0
+    names = {span[3] for span in tracer.spans}
+    assert {"newton.solve", "residual.eval_merit",
+            "jacobian.generalized_element", "newton.line_search"} <= names
+    self_s, _, errors = tracing.self_times(tracer.spans)
+    assert errors == []
+    for name in self_s[0]:  # run.py stops on a span it cannot map
+        tracing.span_metric(name)

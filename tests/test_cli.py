@@ -277,6 +277,24 @@ def test_nonfinite_params_rejected(tmp_path, capsys, flags, params):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"max_iter": 1.5}, "integer"),
+    ({"max_iter": True}, "not a bool"),
+    ({"alpha": True}, "not a bool"),
+    ({"beta": False}, "not a bool"),
+], ids=["max_iter-fraction", "max_iter-bool", "alpha-bool", "beta-bool"])
+def test_non_integer_or_bool_params_rejected(tmp_path, capsys, params,
+                                             message):
+    """A fractional or boolean max_iter and a boolean scalar in the file
+    are validation failures (exit 2), not a run at a rounded or unit
+    value."""
+    doc = _box_doc()
+    doc["params"].update(params)
+    rc = cli.main(["solve", _write(tmp_path, doc)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, key, value, context", [
     ("toll", "arcs", [5], "arcs[0]: must be an object"),
     ("toll", "od", [5], "od[0]: must be an object"),

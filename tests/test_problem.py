@@ -159,6 +159,23 @@ def test_penalty_params_reject_nonfinite(name, value):
         PenaltyParams(**{name: value})
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("max_iter", 1.5, "integer"),
+    ("max_iter", 2.0, "integer"),
+    ("max_iter", True, "not a bool"),
+    ("alpha", True, "not a bool"),
+    ("delta", np.True_, "not a bool"),
+    ("epsilon", False, "not a bool"),
+], ids=["max_iter-fraction", "max_iter-float", "max_iter-bool", "alpha-bool",
+        "delta-numpy-bool", "epsilon-bool"])
+def test_penalty_params_reject_non_integer_and_bool(name, value, message):
+    """max_iter must be an integer and no scalar may be a bool: 1.5 used
+    to run two iterations, True one, and alpha=True solved at alpha 1."""
+    with pytest.raises(ValueError, match=message):
+        PenaltyParams(**{name: value})
+    assert PenaltyParams(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_validate_accepts_good_and_flags_bad():
     pr = make_ex_fractional()
     assert validate(pr) == []

@@ -121,6 +121,27 @@ def test_network_validation():
                     od_pairs=[(1, 2, 0.0)])
 
 
+@pytest.mark.parametrize("change", [
+    {"arcs": [(1, 2, float("nan")), (2, 3, 1.0), (1, 3, 3.0)]},
+    {"arcs": [(1, 2, float("inf")), (2, 3, 1.0), (1, 3, 3.0)]},
+    {"od_pairs": [(1, 3, float("nan"))]},
+    {"od_pairs": [(1, 3, float("inf"))]},
+    {"toll_lb": {0: float("nan")}},
+    {"toll_lb": {0: float("-inf")}},
+    {"tolled": (0, 0)},
+], ids=["cost-nan", "cost-inf", "demand-nan", "demand-inf", "toll_lb-nan",
+        "toll_lb-inf", "tolled-repeated"])
+def test_network_rejects_nonfinite_data_and_repeated_tolls(change):
+    """NaN slipped past the cost and demand sign checks, and a repeated
+    tolled index added a second bound row and doubled the revenue."""
+    data = {"nodes": [1, 2, 3],
+            "arcs": [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 3.0)],
+            "tolled": (0,), "od_pairs": [(1, 3, 1.0)]}
+    TollNetwork(**data, toll_lb={0: None})
+    with pytest.raises(ValueError):
+        TollNetwork(**{**data, **change})
+
+
 def test_to_inequality_form():
     A, b = to_inequality_form([[1.0, 1.0]], [3.0])
     assert A.shape == (4, 2)
