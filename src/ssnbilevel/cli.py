@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -227,25 +228,43 @@ def _alpha_schedule(arg):
     return values
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth, made None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _report_json(report, extra=None):
+    """The report as strict JSON: a non-finite number is written null."""
     doc = report.as_dict()
     for name in ("r", "s", "lam1", "lam2", "lam3", "lam4", "lam5",
                  "lam6", "lam7"):
         doc[name] = getattr(report.final_u, name).tolist()
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def report_from_json(text):
-    """Rebuild a SolveReport from its serialized form."""
+    """Rebuild a SolveReport from its serialized form; a null number
+    reads back as NaN."""
+    def number(v):
+        return np.nan if v is None else v
+
     doc = json.loads(text)
     u = IterateU(**{k: np.asarray(doc[k], float) for k in START_KEYS})
     return newton.SolveReport(
         final_u=u, status=doc["status"],
-        iterates=[tuple(e) for e in doc["iterates"]], alpha=doc["alpha"],
-        objective_value=doc["objective_value"],
-        penalty_value=doc["penalty_value"], message=doc["message"])
+        iterates=[tuple(map(number, e)) for e in doc["iterates"]],
+        alpha=number(doc["alpha"]),
+        objective_value=number(doc["objective_value"]),
+        penalty_value=number(doc["penalty_value"]), message=doc["message"])
 
 
 def cmd_solve(args):

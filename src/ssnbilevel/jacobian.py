@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .problem import unpack
-from .residual import affine_part, eval_residual_vec, selection_arguments
+from .residual import affine_part, eval_residual_vec
 
 
 def selection_weights(X):
@@ -77,11 +77,12 @@ def generalized_element(problem, u, params) -> JacobianElement:
 
     Away from kinks (no X_ij exactly zero) the element is unique.
     """
-    Xs = selection_arguments(problem, u, params)
-    ps = tuple(selection_weights(X) for X in Xs)
-    ties = tuple(X == 0 for X in Xs)
-    return JacobianElement(sparse=assemble(problem, u, params, ps), p=ps,
-                           ties=ties)
+    _, X = affine_part(problem, u, params)
+    p = selection_weights(X)
+    families = np.cumsum(problem.residual_map.lengths[7:11])
+    return JacobianElement(sparse=assemble(problem, u, params, (p,)),
+                           p=tuple(np.split(p, families)),
+                           ties=tuple(np.split(X == 0, families)))
 
 
 def smoothed_residual(problem, u, params):

@@ -17,12 +17,17 @@ with Psi = 1/2 ||Phi||^2; otherwise the method falls back to the
 steepest-descent direction -grad_Psi.  An Armijo backtracking search
 with factor beta and slope fraction sigma picks the step size,
 restarting from 1 at every outer iteration and capped at 60 halvings.
-The iteration stops as soon as ||Phi(u)|| <= delta or after max_iter
-steps.
+Its trials are evaluated in blocks: the merits of the first 16 step
+sizes come from one product of the residual map with the stacked trial
+points, those of the other 45 from a second one, and the first trial
+that passes the Armijo test is taken.  The iteration stops as soon as
+||Phi(u)|| <= delta, after max_iter steps, or at once when the residual
+at the start point is not finite.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +40,7 @@ from .problem import BilevelProblem, IterateU, PenaltyParams, unpack
 from .residual import eval_merit, eval_pi, eval_residual_vec
 
 MAX_HALVINGS = 60
+TRIAL_BLOCK = 16  # Armijo trials in the first merit block
 PIVOT_REL_TOL = 1e-12
 
 STATUS_CONVERGED = "converged"
@@ -42,6 +48,7 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_LINESEARCH_STALL = "linesearch_stall"
 STATUS_SINGULAR = "singular_unrecoverable"
 STATUS_SCHEDULE_EXHAUSTED = "schedule_exhausted"
+STATUS_NONFINITE = "nonfinite_residual"
 
 
 def newton_direction(problem, u, params):
@@ -57,7 +64,10 @@ def newton_direction(problem, u, params):
     phi = eval_residual_vec(problem, u, params)
     element = generalized_element(problem, u, params)
     C = element.sparse
-    grad_psi = C.T @ phi
+    # C^T phi summed in CSR order, as the product with C.T sums it
+    grad_psi = np.bincount(C.indices,
+                           C.data * np.repeat(phi, np.diff(C.indptr)),
+                           minlength=problem.size)
     # a row left unmatched makes C singular whatever its values
     if (maximum_bipartite_matching(C, perm_type="column") < 0).any():
         return -grad_psi, grad_psi, "gradient"
@@ -76,19 +86,26 @@ def newton_direction(problem, u, params):
 
 
 def line_search(merit, vec, direction, psi0, slope, params):
-    """Armijo backtracking: smallest j >= 0 with
+    """Armijo backtracking: smallest j <= MAX_HALVINGS with
     merit(u + beta^j d) <= psi0 + sigma beta^j slope.
 
-    Returns (tau, psi_new, accepted); accepted is False when the
-    halving cap is reached without sufficient decrease (a stall).
+    merit maps a (J, N) stack of trial points to their J merits.  The
+    trials j < TRIAL_BLOCK form one stack and the rest a second one,
+    evaluated only when the first has no acceptable trial.  Returns
+    (tau, psi_new, accepted); accepted is False when the halving cap is
+    reached without sufficient decrease (a stall), and then tau is
+    beta^(MAX_HALVINGS + 1) and psi_new the merit of the last trial.
     """
-    tau = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        psi_new = merit(vec + tau * direction)
-        if psi_new <= psi0 + params.sigma * tau * slope:
-            return tau, psi_new, True
-        tau *= params.beta
-    return tau, psi_new, False
+    # tau_j = tau_{j-1} * beta: one rounded product per trial
+    taus = np.cumprod([1.0] + [params.beta] * (MAX_HALVINGS + 1))
+    for lo, hi in ((0, TRIAL_BLOCK), (TRIAL_BLOCK, MAX_HALVINGS + 1)):
+        block = taus[lo:hi]
+        psi = merit(vec + block[:, None] * direction)
+        passed = psi <= psi0 + params.sigma * block * slope
+        if passed.any():
+            j = int(passed.argmax())
+            return float(block[j]), float(psi[j]), True
+    return float(taus[-1]), float(psi[-1]), False
 
 
 @dataclass
@@ -170,8 +187,8 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
     u0.check_dims(problem)
     n, l, m = problem.n, problem.l, problem.m
 
-    def merit(vec):
-        return eval_merit(problem, unpack(vec, n, l, m), params)
+    def merit(trials):
+        return eval_merit(problem, trials, params)
 
     u = u0.copy()
     res = float(np.linalg.norm(eval_residual_vec(problem, u, params)))
@@ -184,6 +201,10 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
         if res <= params.delta:
             status = STATUS_CONVERGED
             message = "residual below tolerance"
+            break
+        if not math.isfinite(res):  # an accepted trial has a finite merit
+            status = STATUS_NONFINITE
+            message = f"residual not finite at the start point: {res}"
             break
         d, grad_psi, kind = newton_direction(problem, u, params)
         if kind == "newton":

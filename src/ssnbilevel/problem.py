@@ -106,9 +106,12 @@ def quadratic_objective(Qxx=None, Qxy=None, Qyy=None, kx=None, ky=None,
     return QuadraticObjective(**blocks, const=const)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilevelProblem:
-    """Immutable instance data: upper constraints Dx <= d, lower Ay <= b."""
+    """Immutable instance data: upper constraints Dx <= d, lower Ay <= b.
+
+    Compared and hashed by identity, as the cached residual map is.
+    """
 
     D: np.ndarray
     d: np.ndarray
@@ -267,12 +270,13 @@ def unpack(vec, n, l, m) -> IterateU:
     return IterateU.wrap(vec.copy(), _lengths(n, l, m))
 
 
-@dataclass
+@dataclass(eq=False)
 class PenaltyParams:
     """Penalty weight, reformulation scalars and algorithm constants.
 
     Defaults mirror the toll experiments: t = (0.045, 0.049, 0.025,
     0.005, 0.0025), epsilon = 0.01, delta = 1e-6, 50 iterations.
+    Compared and hashed by identity.
     """
 
     alpha: float = 1.0

@@ -152,15 +152,22 @@ def residual_map(problem: BilevelProblem) -> ResidualMap:
                        indptr=indptr, rows=rows, coef=coef)
 
 
-def affine_part(problem: BilevelProblem, u: IterateU, params: PenaltyParams):
+def affine_part(problem: BilevelProblem, u, params: PenaltyParams):
     """Phi(u) without its max terms, and the selection arguments X of
-    all five families in one vector, from one product with the map."""
+    all five families in one vector, from one product with the map.
+
+    u is an iterate or a 2-D array whose rows are packed iterates; then
+    phi and X hold one row per iterate, each C-contiguous and equal bit
+    for bit to the vectors of that iterate alone.
+    """
     phimap = problem.residual_map
     N, head = problem.size, phimap.head
-    w = phimap.stacked @ u.vec + phimap.offset
-    phi = w[:N]
-    X = phi[head:] + phimap.t_rows(params.t) * w[N + head:]
-    phi[:head] += params.alpha * w[N:N + head]
+    vec = u.vec if isinstance(u, IterateU) else u
+    # (S @ U^T)^T is F-ordered; C rows keep phi @ phi the same per row
+    w = np.add((phimap.stacked @ vec.T).T, phimap.offset, order="C")
+    phi = w[..., :N]
+    X = phi[..., head:] + phimap.t_rows(params.t) * w[..., N + head:]
+    phi[..., :head] += params.alpha * w[..., N:N + head]
     return phi, X
 
 
@@ -176,12 +183,18 @@ def selection_arguments(problem: BilevelProblem, u: IterateU,
     return tuple(np.split(X, np.cumsum(problem.residual_map.lengths[7:11])))
 
 
+def _phi(problem, u, params):
+    """Phi at an iterate, or one row of Phi per row of a 2-D stack."""
+    phi, X = affine_part(problem, u, params)
+    phi[..., problem.residual_map.head:] -= np.maximum(0.0, X)
+    return phi
+
+
 def eval_residual(problem: BilevelProblem, u: IterateU,
                   params: PenaltyParams) -> ResidualBlocks:
     """Evaluate all blocks of Phi at the iterate u."""
-    phi, X = affine_part(problem, u, params)
-    phi[problem.residual_map.head:] -= np.maximum(0.0, X)
-    return ResidualBlocks.wrap(phi, problem.residual_map.lengths)
+    return ResidualBlocks.wrap(_phi(problem, u, params),
+                               problem.residual_map.lengths)
 
 
 def eval_residual_vec(problem, u, params):
@@ -190,9 +203,17 @@ def eval_residual_vec(problem, u, params):
 
 
 def eval_merit(problem, u, params):
-    """Merit function Psi(u) = 1/2 ||Phi(u)||^2."""
-    phi = eval_residual_vec(problem, u, params)
-    return 0.5 * float(phi @ phi)
+    """Merit function Psi(u) = 1/2 ||Phi(u)||^2 at the iterate u.
+
+    For a 2-D array whose rows are packed iterates, an array with one
+    merit per row, each equal bit for bit to the merit of that row
+    wrapped as an iterate: Phi comes from one product with the map for
+    all rows, and each row's merit from the same dot product.
+    """
+    phi = _phi(problem, u, params)
+    if phi.ndim == 1:
+        return 0.5 * float(phi @ phi)
+    return np.array([0.5 * float(row @ row) for row in phi])
 
 
 def check_noc(problem: BilevelProblem, u: IterateU, params: PenaltyParams):

@@ -429,3 +429,30 @@ def test_alpha_schedule_certifies_final_weight(tmp_path):
     assert doc["status"] == "schedule_exhausted" and doc["alpha"] == 2.0
     assert doc["residual_norm"] <= 1e-6
     assert doc["certificates"] and doc["certificates"] == expected
+
+
+def test_solve_nonfinite_start_writes_strict_json(tmp_path, capsys):
+    """At alpha = 1e300 the preset's start residual overflows: solve
+    stops at once with a status naming it (it used to report a line
+    search stall) and --out writes strict JSON, the infinite norm as
+    null, which report_from_json reads back as NaN."""
+    out = tmp_path / "o.json"
+    with np.errstate(over="ignore"):
+        rc = cli.main(["solve", "--preset", "network1", "--alpha", "1e300",
+                       "--max-iter", "3", "--out", str(out)])
+    assert rc == 1
+    text = capsys.readouterr().out
+    assert "status: nonfinite_residual (residual not finite" in text
+    assert "linesearch_stall" not in text
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not strict JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert doc["status"] == "nonfinite_residual" and not doc["converged"]
+    assert doc["residual_norm"] is None and doc["iterations"] == 0
+    assert doc["iterates"] == [[0, None, None, "initial", 0.0]]
+    assert doc["alpha"] == 1e300 and doc["certificates"] == {}
+    report = cli.report_from_json(out.read_text())
+    assert report.status == "nonfinite_residual" and not report.converged
+    assert np.isnan(report.residual_norm)

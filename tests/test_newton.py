@@ -188,7 +188,7 @@ def test_direction_matches_dense_reference():
 def test_line_search_quadratic_merit_full_step():
     # psi(tau) = (1 - tau)^2 / 2 along d = 1 from u = 0
     params = PenaltyParams(alpha=1.0, sigma=0.1)
-    merit = lambda v: 0.5 * (1.0 - v[0]) ** 2
+    merit = lambda V: 0.5 * (1.0 - V[:, 0]) ** 2
     tau, psi, ok = line_search(merit, np.zeros(1), np.ones(1),
                                psi0=0.5, slope=-1.0, params=params)
     assert ok and tau == 1.0 and psi == 0.0
@@ -196,7 +196,7 @@ def test_line_search_quadratic_merit_full_step():
 
 def test_line_search_backtracks():
     params = PenaltyParams(alpha=1.0, sigma=1e-4, beta=0.5)
-    merit = lambda v: 0.5 * (1.0 - v[0]) ** 2
+    merit = lambda V: 0.5 * (1.0 - V[:, 0]) ** 2
     # overlong direction overshoots the minimum; halving must kick in
     tau, psi, ok = line_search(merit, np.zeros(1), np.array([8.0]),
                                psi0=0.5, slope=-8.0, params=params)
@@ -207,7 +207,7 @@ def test_line_search_backtracks():
 def test_line_search_stall_on_ascent():
     params = PenaltyParams(alpha=1.0)
     # merit jumps up for every nonzero step, so no halving can succeed
-    merit = lambda v: 2.0 if v[0] != 0.0 else 1.0
+    merit = lambda V: np.where(V[:, 0] != 0.0, 2.0, 1.0)
     tau, psi, ok = line_search(merit, np.zeros(1), np.ones(1),
                                psi0=1.0, slope=-1.0, params=params)
     assert not ok
@@ -351,6 +351,27 @@ def test_singular_unrecoverable_on_merit_stationary_nonroot():
         newton_mod.newton_direction = original
     assert rep.status == "singular_unrecoverable"
     assert rep.residual_norm > params.delta
+
+
+def test_nonfinite_start_residual_stops_before_a_direction(monkeypatch):
+    """A start whose residual overflows is reported as such, before any
+    direction is built; it used to end as a line-search stall."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a direction")
+
+    monkeypatch.setattr(newton_mod, "newton_direction", refuse)
+    ps = toll.preset("network1")
+    params = ps.params.with_alpha(1e300)
+    with np.errstate(over="ignore"):
+        rep = solve(ps.problem, ps.start, params)
+    assert rep.status == "nonfinite_residual" and not rep.converged
+    assert rep.iterations == 0 and rep.residual_norm == np.inf
+    assert "residual not finite at the start point" in rep.message
+    pr = make_ex_box()
+    u0 = default_start(pr, [1.5], [0.5])
+    u0.lam3[0] = np.nan
+    rep = solve(pr, u0, PenaltyParams(alpha=30.0))
+    assert rep.status == "nonfinite_residual" and np.isnan(rep.residual_norm)
 
 
 def test_report_trace_shape_and_dict():

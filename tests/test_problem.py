@@ -12,7 +12,7 @@ from ssnbilevel import (BilevelProblem, PenaltyParams, quadratic_objective,
 from ssnbilevel.problem import (BLOCK_ORDER, DimensionError, IterateU,
                                 block_lengths, block_slices)
 
-from conftest import make_ex_fractional, random_iterate
+from conftest import make_ex_box, make_ex_fractional, random_iterate
 
 
 def test_dimensions_of_example():
@@ -174,6 +174,20 @@ def test_penalty_params_reject_non_integer_and_bool(name, value, message):
     with pytest.raises(ValueError, match=message):
         PenaltyParams(**{name: value})
     assert PenaltyParams(max_iter=np.int64(3)).max_iter == 3
+
+
+def test_problem_and_params_compare_and_hash_by_identity():
+    """Comparing or hashing a problem or parameter set used to raise
+    (the generated __eq__ and __hash__ reached numpy arrays); both are
+    identities now, as the per-problem residual map cache assumes."""
+    problem, other = make_ex_box(), make_ex_box()
+    assert problem == problem and problem != other
+    assert {problem: 1, other: 2}[problem] == 1
+    assert hash(problem) != hash(other)
+    params = PenaltyParams()
+    assert params == params and params != PenaltyParams()
+    assert params != params.with_alpha(params.alpha)
+    assert {params: 1}[params] == 1
 
 
 def test_validate_accepts_good_and_flags_bad():
