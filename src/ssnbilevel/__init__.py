@@ -5,7 +5,8 @@ from .problem import (BilevelProblem, IterateU, PenaltyParams,
                       QuadraticObjective, quadratic_objective, pack, unpack,
                       validate)
 from .residual import (eval_pi, eval_residual, eval_residual_vec, eval_merit,
-                       check_noc, assemble_affine_system)
+                       residual_and_selection, check_noc,
+                       assemble_affine_system)
 from .jacobian import (generalized_element, smoothed_residual,
                        smoothed_jacobian, merit_gradient, fd_jacobian)
 from .newton import (solve, alpha_continuation, default_start, SolveReport,
@@ -23,7 +24,7 @@ __all__ = [
     "BilevelProblem", "IterateU", "PenaltyParams", "QuadraticObjective",
     "quadratic_objective", "pack", "unpack", "validate",
     "eval_pi", "eval_residual", "eval_residual_vec", "eval_merit",
-    "check_noc", "assemble_affine_system",
+    "residual_and_selection", "check_noc", "assemble_affine_system",
     "generalized_element", "smoothed_residual", "smoothed_jacobian",
     "merit_gradient", "fd_jacobian",
     "solve", "alpha_continuation", "default_start", "SolveReport",

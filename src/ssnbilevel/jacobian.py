@@ -50,7 +50,7 @@ class JacobianElement:
         return self.sparse.toarray()
 
 
-def assemble(problem, u, params, ps) -> scipy.sparse.csr_array:
+def assemble(problem, params, ps) -> scipy.sparse.csr_array:
     """The Jacobian with selection weights ps = (p1, ..., p5) per
     complementarity family (or any split of the comp rows), as a CSR
     matrix without stored zeros.
@@ -80,7 +80,7 @@ def generalized_element(problem, u, params) -> JacobianElement:
     _, X = affine_part(problem, u, params)
     p = selection_weights(X)
     families = np.cumsum(problem.residual_map.lengths[7:11])
-    return JacobianElement(sparse=assemble(problem, u, params, (p,)),
+    return JacobianElement(sparse=assemble(problem, params, (p,)),
                            p=tuple(np.split(p, families)),
                            ties=tuple(np.split(X == 0, families)))
 
@@ -108,8 +108,8 @@ def smoothed_jacobian(problem, u, params):
     generalized element when eps == 0, as a dense array."""
     if params.epsilon == 0:
         return generalized_element(problem, u, params).matrix
-    return assemble(problem, u, params,
-                    _smoothed(problem, u, params)[1]).toarray()
+    _, ps = _smoothed(problem, u, params)
+    return assemble(problem, params, ps).toarray()
 
 
 def fd_jacobian(problem, u, params, smoothed=True):
@@ -139,7 +139,7 @@ def merit_gradient(problem, u, params, smoothed=True):
     Jacobian (smoothed or a generalized element)."""
     if smoothed and params.epsilon > 0:
         phi, ps = _smoothed(problem, u, params)
-        C = assemble(problem, u, params, ps)
+        C = assemble(problem, params, ps)
     else:
         phi = eval_residual_vec(problem, u, params)
         C = generalized_element(problem, u, params).sparse

@@ -17,10 +17,14 @@ with Psi = 1/2 ||Phi||^2; otherwise the method falls back to the
 steepest-descent direction -grad_Psi.  An Armijo backtracking search
 with factor beta and slope fraction sigma picks the step size,
 restarting from 1 at every outer iteration and capped at 60 halvings.
-Its trials are evaluated in blocks: the merits of the first 16 step
+Its trials are evaluated in blocks: Phi and X of the first 16 step
 sizes come from one product of the residual map with the stacked trial
 points, those of the other 45 from a second one, and the first trial
-that passes the Armijo test is taken.  The iteration stops as soon as
+that passes the Armijo test is taken.  Each iterate is thus evaluated
+by exactly one product with the map, the start point by its own and
+every later iterate by the block that accepted it: ||Phi||, the
+selection arguments X that pick C, and grad_Psi = C^T Phi are all read
+from that product's row.  The iteration stops as soon as
 ||Phi(u)|| <= delta, after max_iter steps, or at once when the residual
 at the start point is not finite.
 """
@@ -35,9 +39,12 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .jacobian import generalized_element
+from .jacobian import assemble, selection_weights
 from .problem import BilevelProblem, IterateU, PenaltyParams, unpack
-from .residual import eval_merit, eval_pi, eval_residual_vec
+from .residual import eval_pi, residual_and_selection, row_merits
+# not called here: perfbench/tracing.py wraps these names of this module
+from .jacobian import generalized_element  # noqa: F401
+from .residual import eval_merit, eval_residual_vec  # noqa: F401
 
 MAX_HALVINGS = 60
 TRIAL_BLOCK = 16  # Armijo trials in the first merit block
@@ -51,9 +58,12 @@ STATUS_SCHEDULE_EXHAUSTED = "schedule_exhausted"
 STATUS_NONFINITE = "nonfinite_residual"
 
 
-def newton_direction(problem, u, params):
-    """Direction for one iteration.  Returns (d, grad_psi, used).
+def newton_direction(problem, phi, X, params):
+    """Direction for one iteration from Phi and the selection arguments
+    X at the current point.  Returns (d, grad_psi, used).
 
+    C is the element X selects, with weight 1/2 on kink rows, as the
+    CSR matrix of :func:`~ssnbilevel.jacobian.generalized_element`.
     used is 'newton' when the generalized-Jacobian element C gives a
     nonsingular system whose finite solution passes the descent test
     grad_Psi^T d <= -rho ||d||^p; otherwise 'gradient' with
@@ -61,9 +71,7 @@ def newton_direction(problem, u, params):
     wherever Phi is differentiable.  C is factored only when its
     nonzero pattern admits a perfect matching.
     """
-    phi = eval_residual_vec(problem, u, params)
-    element = generalized_element(problem, u, params)
-    C = element.sparse
+    C = assemble(problem, params, (selection_weights(X),))
     # C^T phi summed in CSR order, as the product with C.T sums it
     grad_psi = np.bincount(C.indices,
                            C.data * np.repeat(phi, np.diff(C.indptr)),
@@ -76,7 +84,7 @@ def newton_direction(problem, u, params):
     with warnings.catch_warnings():
         # exact singularity is detected by the pivot test below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(element.matrix, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(C.toarray(), check_finite=False)
     if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
         d = scipy.linalg.lu_solve((lu, piv), -phi, check_finite=False)
         if (np.all(np.isfinite(d)) and float(grad_psi @ d)
@@ -85,27 +93,31 @@ def newton_direction(problem, u, params):
     return -grad_psi, grad_psi, "gradient"
 
 
-def line_search(merit, vec, direction, psi0, slope, params):
+def line_search(evaluate, vec, direction, psi0, slope, params):
     """Armijo backtracking: smallest j <= MAX_HALVINGS with
-    merit(u + beta^j d) <= psi0 + sigma beta^j slope.
+    Psi(u + beta^j d) <= psi0 + sigma beta^j slope.
 
-    merit maps a (J, N) stack of trial points to their J merits.  The
+    evaluate maps a (J, N) stack of trial points to (Phi, X) with one
+    C-contiguous row per trial, and Psi is 1/2 ||Phi||^2 of a row.  The
     trials j < TRIAL_BLOCK form one stack and the rest a second one,
     evaluated only when the first has no acceptable trial.  Returns
-    (tau, psi_new, accepted); accepted is False when the halving cap is
-    reached without sufficient decrease (a stall), and then tau is
-    beta^(MAX_HALVINGS + 1) and psi_new the merit of the last trial.
+    (tau, psi_new, accepted, phi, X) with the Phi and X rows of the
+    accepted trial; accepted is False when the halving cap is reached
+    without sufficient decrease (a stall), and then tau is
+    beta^(MAX_HALVINGS + 1) and psi_new, phi and X belong to the last
+    trial.
     """
     # tau_j = tau_{j-1} * beta: one rounded product per trial
     taus = np.cumprod([1.0] + [params.beta] * (MAX_HALVINGS + 1))
     for lo, hi in ((0, TRIAL_BLOCK), (TRIAL_BLOCK, MAX_HALVINGS + 1)):
         block = taus[lo:hi]
-        psi = merit(vec + block[:, None] * direction)
+        phi, X = evaluate(vec + block[:, None] * direction)
+        psi = row_merits(phi)
         passed = psi <= psi0 + params.sigma * block * slope
         if passed.any():
             j = int(passed.argmax())
-            return float(block[j]), float(psi[j]), True
-    return float(taus[-1]), float(psi[-1]), False
+            return float(block[j]), float(psi[j]), True, phi[j], X[j]
+    return float(taus[-1]), float(psi[-1]), False, phi[-1], X[-1]
 
 
 @dataclass
@@ -187,11 +199,14 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
     u0.check_dims(problem)
     n, l, m = problem.n, problem.l, problem.m
 
-    def merit(trials):
-        return eval_merit(problem, trials, params)
+    def evaluate(trials):
+        return residual_and_selection(problem, trials, params)
 
+    # Phi and X of every iterate come from one product with the map:
+    # here for u0, then from the line-search row that accepted it
     u = u0.copy()
-    res = float(np.linalg.norm(eval_residual_vec(problem, u, params)))
+    phi, X = evaluate(u.vec)
+    res = float(np.linalg.norm(phi))
     psi = 0.5 * res * res
     iterates = [(0, res, psi, "initial", 0.0)]
     status = STATUS_MAX_ITER
@@ -206,7 +221,7 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
             status = STATUS_NONFINITE
             message = f"residual not finite at the start point: {res}"
             break
-        d, grad_psi, kind = newton_direction(problem, u, params)
+        d, grad_psi, kind = newton_direction(problem, phi, X, params)
         if kind == "newton":
             slope = float(grad_psi @ d)
         else:
@@ -216,15 +231,15 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
                 message = ("merit gradient vanished at a point whose "
                            "residual is above tolerance")
                 break
-        tau, psi_new, accepted = line_search(merit, u.vec, d, psi, slope,
-                                             params)
+        tau, psi_new, accepted, phi, X = line_search(
+            evaluate, u.vec, d, psi, slope, params)
         if not accepted:
             status = STATUS_LINESEARCH_STALL
             message = ("line search hit the halving cap without "
                        "sufficient decrease")
             break
         u = unpack(u.vec + tau * d, n, l, m)
-        res = float(np.linalg.norm(eval_residual_vec(problem, u, params)))
+        res = float(np.linalg.norm(phi))
         psi = psi_new
         k += 1
         iterates.append((k, res, psi, kind, tau))

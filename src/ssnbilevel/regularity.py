@@ -138,8 +138,7 @@ def probe_nonsingularity(problem, u, params, max_elements=8):
         p = base.copy()
         if corner is not None:
             p[ties] = corner
-        conds.append(np.linalg.cond(
-            assemble(problem, u, params, (p,)).toarray()))
+        conds.append(np.linalg.cond(assemble(problem, params, (p,)).toarray()))
     return ProbeResult(
         nonsingular=all(np.isfinite(c) and c <= 1e12 for c in conds),
         n_elements=len(conds), n_ties=k, worst_cond=float(max(0.0, *conds)))

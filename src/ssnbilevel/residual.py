@@ -131,12 +131,16 @@ def residual_map(problem: BilevelProblem) -> ResidualMap:
         if cb is None:
             offset[row:row + size[rb]] = mat
             continue
-        block = scipy.sparse.coo_array(mat * scipy.sparse.eye_array(size[rb])
-                                       if np.isscalar(mat) else mat)
-        i.append(start[rb] + block.row)
-        j.append(cols[cb].start + block.col)
-        v.append(block.data)
-        part.append(np.full(block.nnz, p))
+        if np.isscalar(mat):  # mat times the identity
+            r = c = np.arange(size[rb])
+            data = np.full(size[rb], float(mat))
+        else:  # the nonzero entries in row-major order
+            r, c = np.nonzero(mat)
+            data = mat[r, c]
+        i.append(start[rb] + r)
+        j.append(cols[cb].start + c)
+        v.append(data)
+        part.append(np.full(data.size, p))
     i, j, v, part = map(np.concatenate, (i, j, v, part))
     stacked = scipy.sparse.csr_array((v, (i + N * (part != CONST), j)),
                                      shape=(2 * N, N))
@@ -183,17 +187,26 @@ def selection_arguments(problem: BilevelProblem, u: IterateU,
     return tuple(np.split(X, np.cumsum(problem.residual_map.lengths[7:11])))
 
 
-def _phi(problem, u, params):
-    """Phi at an iterate, or one row of Phi per row of a 2-D stack."""
+def residual_and_selection(problem: BilevelProblem, u,
+                           params: PenaltyParams):
+    """Phi and the selection arguments X (all five families in one
+    vector) at an iterate, or one row of each per row of a 2-D stack,
+    from one product with the map; rows as in :func:`affine_part`."""
     phi, X = affine_part(problem, u, params)
     phi[..., problem.residual_map.head:] -= np.maximum(0.0, X)
-    return phi
+    return phi, X
+
+
+def row_merits(phi):
+    """1/2 ||row||^2 per row of a 2-D Phi: for C-contiguous rows, each
+    the merit of that row's iterate alone, bit for bit."""
+    return np.array([0.5 * float(row @ row) for row in phi])
 
 
 def eval_residual(problem: BilevelProblem, u: IterateU,
                   params: PenaltyParams) -> ResidualBlocks:
     """Evaluate all blocks of Phi at the iterate u."""
-    return ResidualBlocks.wrap(_phi(problem, u, params),
+    return ResidualBlocks.wrap(residual_and_selection(problem, u, params)[0],
                                problem.residual_map.lengths)
 
 
@@ -208,12 +221,12 @@ def eval_merit(problem, u, params):
     For a 2-D array whose rows are packed iterates, an array with one
     merit per row, each equal bit for bit to the merit of that row
     wrapped as an iterate: Phi comes from one product with the map for
-    all rows, and each row's merit from the same dot product.
+    all rows, and each row's merit from :func:`row_merits`.
     """
-    phi = _phi(problem, u, params)
+    phi, _ = residual_and_selection(problem, u, params)
     if phi.ndim == 1:
         return 0.5 * float(phi @ phi)
-    return np.array([0.5 * float(row @ row) for row in phi])
+    return row_merits(phi)
 
 
 def check_noc(problem: BilevelProblem, u: IterateU, params: PenaltyParams):

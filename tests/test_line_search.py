@@ -11,7 +11,8 @@ import pytest
 
 from ssnbilevel import (PenaltyParams, build_problem, default_start,
                         eval_merit, eval_residual_vec, generalized_element,
-                        newton_direction, preset, solve)
+                        newton_direction, preset, residual_and_selection,
+                        solve)
 from ssnbilevel import newton as newton_mod
 from ssnbilevel.jacobian import selection_weights
 from ssnbilevel.newton import MAX_HALVINGS, TRIAL_BLOCK, line_search
@@ -95,7 +96,8 @@ def test_element_and_gradient_unchanged(workloads):
                 assert np.array_equal(p, selection_weights(X)), name
                 assert np.array_equal(ties, X == 0), name
             phi = eval_residual_vec(problem, u, params)
-            _, grad, _ = newton_direction(problem, u, params)
+            _, grad, _ = newton_direction(
+                problem, *residual_and_selection(problem, u, params), params)
             assert np.array_equal(grad, element.sparse.T @ phi), name
     # kinks: an iterate with every selection argument exactly zero
     problem, params = random_instance(rng), PenaltyParams(alpha=3.0)
@@ -140,9 +142,11 @@ def test_solves_unchanged(workloads, monkeypatch):
         with monkeypatch.context() as patch:
             one = _one_at_a_time(problem, params)
 
-            def scalar_search(merit, vec, direction, psi0, slope, params_):
-                return reference_line_search(one, vec, direction, psi0,
-                                             slope, params_)
+            def scalar_search(evaluate, vec, direction, psi0, slope,
+                              params_):
+                tau, psi, ok = reference_line_search(one, vec, direction,
+                                                     psi0, slope, params_)
+                return tau, psi, ok, *evaluate(vec + tau * direction)
 
             patch.setattr(newton_mod, "line_search", scalar_search)
             ref = solve(problem, u0, params)
@@ -159,9 +163,14 @@ def test_solves_unchanged(workloads, monkeypatch):
     assert {"converged", "max_iter"} <= statuses
 
 
+def _phi_rows(values):
+    """One-entry Phi rows whose merits are the given values."""
+    return np.sqrt(2.0 * np.asarray(values))[:, None]
+
+
 class _Recorder:
-    """A stack merit from a function of the first coordinate, which
-    records the trial points of every call."""
+    """A stack evaluation whose merits are a function of the first
+    coordinate, which records the trial points of every call."""
 
     def __init__(self, fun):
         self.fun = fun
@@ -169,17 +178,18 @@ class _Recorder:
 
     def __call__(self, stack):
         self.calls.append(stack[:, 0].copy())
-        return np.array([self.fun(v) for v in stack[:, 0]])
+        return _phi_rows([self.fun(v) for v in stack[:, 0]]), stack
 
     def scalar(self, vec):
-        return self.fun(vec[0])
+        row = _phi_rows([self.fun(vec[0])])[0]
+        return 0.5 * float(row @ row)
 
 
 def _both(fun, psi0, slope, params, direction=1.0):
     """(block result, reference result, trial points per merit call)."""
     merit = _Recorder(fun)
     vec, d = np.zeros(1), np.array([direction])
-    got = line_search(merit, vec, d, psi0, slope, params)
+    got = line_search(merit, vec, d, psi0, slope, params)[:3]
     ref = reference_line_search(merit.scalar, vec, d, psi0, slope, params)
     assert [type(v) for v in got] == [float, float, bool]
     return got, ref, merit.calls
@@ -263,6 +273,19 @@ def test_random_merits_match_the_scalar_loop():
         assert got[1] == ref[1] or (np.isnan(got[1]) and np.isnan(ref[1]))
         accepted.append(got[2])
     assert 0 < sum(accepted) < len(accepted)
+
+
+def test_rows_of_the_accepted_trial_are_returned():
+    """Phi and X come back as the rows of the accepted trial, or of the
+    last trial on a stall."""
+    params = PenaltyParams(beta=0.5, sigma=1e-4)
+    for fun, j in ((lambda v: 0.0 if v <= 0.5 ** 20 else 2.0, 20),
+                   (lambda v: 2.0, MAX_HALVINGS)):
+        merit = _Recorder(fun)
+        *_, phi, X = line_search(merit, np.zeros(1), np.ones(1), 1.0, -1.0,
+                                 params)
+        assert X.tolist() == [0.5 ** j]  # the recorder's X is the trial
+        assert phi.tolist() == _phi_rows([fun(0.5 ** j)])[0].tolist()
 
 
 @pytest.mark.parametrize("slope", [-1.0, 0.0])

@@ -11,7 +11,8 @@ import scipy.sparse
 from ssnbilevel import (BilevelProblem, PenaltyParams, alpha_continuation,
                         certify, default_start, eval_residual_vec,
                         generalized_element, merit_gradient, newton_direction,
-                        quadratic_objective, solve, toll)
+                        quadratic_objective, residual_and_selection, solve,
+                        toll)
 from ssnbilevel import newton as newton_mod
 from ssnbilevel import regularity
 from ssnbilevel.jacobian import JacobianElement
@@ -22,12 +23,18 @@ from conftest import (make_ex_box, make_ex_fractional, random_instance,
                       root_ex_box, root_ex_fractional)
 
 
+def _direction(problem, u, params):
+    """newton_direction from Phi and X at the iterate u."""
+    return newton_direction(problem, *residual_and_selection(problem, u,
+                                                             params), params)
+
+
 def test_direction_near_root_is_newton():
     pr = make_ex_fractional()
     params = PenaltyParams(alpha=2.0)
     u = root_ex_fractional(pr, 2.0)
     v = pack(u) + 1e-4 * np.random.default_rng(0).standard_normal(pr.size)
-    d, grad, used = newton_direction(pr, unpack(v, 1, 1, 2), params)
+    d, grad, used = _direction(pr, unpack(v, 1, 1, 2), params)
     assert used == "newton"
     assert grad @ d < 0
 
@@ -41,7 +48,7 @@ def test_direction_falls_back_on_singular_element():
     u = root_ex_fractional(pr, 2.0)
     u.lam4 = np.array([5.0])
     u.lam5 = np.array([5.0])  # both selection arguments now positive
-    d, grad, used = newton_direction(pr, u, params)
+    d, grad, used = _direction(pr, u, params)
     assert used == "gradient"
     assert np.array_equal(d, -grad)
     assert np.allclose(grad, merit_gradient(pr, u, params, smoothed=False))
@@ -64,12 +71,11 @@ def test_direction_builds_and_factors_one_element(monkeypatch):
     u.lam4 = np.array([5.0])
     u.lam5 = np.array([5.0])
     calls = {"element": 0, "lu": 0}
-    monkeypatch.setattr(newton_mod, "generalized_element",
-                        _counted(calls, "element",
-                                 newton_mod.generalized_element))
+    monkeypatch.setattr(newton_mod, "assemble",
+                        _counted(calls, "element", newton_mod.assemble))
     monkeypatch.setattr(scipy.linalg, "lu_factor",
                         _counted(calls, "lu", scipy.linalg.lu_factor))
-    d, grad, used = newton_direction(pr, u, params)
+    d, grad, used = _direction(pr, u, params)
     assert calls == {"element": 1, "lu": 0}
     assert used == "gradient"
     assert np.array_equal(d, -grad)
@@ -84,17 +90,17 @@ def test_direction_pivot_test_rejects_matched_singular_pattern(monkeypatch):
     v = pack(root_ex_fractional(pr, 2.0))
     u = unpack(v + 1e-4 * np.random.default_rng(0).standard_normal(pr.size),
                pr.n, pr.l, pr.m)
-    assert newton_direction(pr, u, params)[2] == "newton"
+    assert _direction(pr, u, params)[2] == "newton"
     ones = JacobianElement(
         sparse=scipy.sparse.csr_array(np.ones((pr.size, pr.size))),
         p=(), ties=())
     calls = {"lu": 0}
-    monkeypatch.setattr(newton_mod, "generalized_element",
-                        lambda problem, u, params: ones)
+    monkeypatch.setattr(newton_mod, "assemble",
+                        lambda problem, params, ps: ones.sparse)
     monkeypatch.setattr(scipy.linalg, "lu_factor",
                         _counted(calls, "lu", scipy.linalg.lu_factor))
     phi = eval_residual_vec(pr, u, params)
-    d, grad, used = newton_direction(pr, u, params)
+    d, grad, used = _direction(pr, u, params)
     assert calls == {"lu": 1}
     assert used == "gradient"
     assert np.allclose(grad, ones.matrix.T @ phi, rtol=1e-12, atol=0)
@@ -174,7 +180,7 @@ def test_direction_matches_dense_reference():
     the direction: same kind, and d and grad within 1e-12 relative."""
     kinds = []
     for pr, u, params in _equivalence_cases():
-        d, grad, used = newton_direction(pr, u, params)
+        d, grad, used = _direction(pr, u, params)
         d_ref, grad_ref, used_ref = dense_reference_direction(pr, u, params)
         assert used == used_ref
         for got, ref in ((d, d_ref), (grad, grad_ref)):
@@ -188,18 +194,18 @@ def test_direction_matches_dense_reference():
 def test_line_search_quadratic_merit_full_step():
     # psi(tau) = (1 - tau)^2 / 2 along d = 1 from u = 0
     params = PenaltyParams(alpha=1.0, sigma=0.1)
-    merit = lambda V: 0.5 * (1.0 - V[:, 0]) ** 2
-    tau, psi, ok = line_search(merit, np.zeros(1), np.ones(1),
-                               psi0=0.5, slope=-1.0, params=params)
+    evaluate = lambda V: (1.0 - V[:, :1], V)
+    tau, psi, ok, _, _ = line_search(evaluate, np.zeros(1), np.ones(1),
+                                     psi0=0.5, slope=-1.0, params=params)
     assert ok and tau == 1.0 and psi == 0.0
 
 
 def test_line_search_backtracks():
     params = PenaltyParams(alpha=1.0, sigma=1e-4, beta=0.5)
-    merit = lambda V: 0.5 * (1.0 - V[:, 0]) ** 2
+    evaluate = lambda V: (1.0 - V[:, :1], V)
     # overlong direction overshoots the minimum; halving must kick in
-    tau, psi, ok = line_search(merit, np.zeros(1), np.array([8.0]),
-                               psi0=0.5, slope=-8.0, params=params)
+    tau, psi, ok, _, _ = line_search(evaluate, np.zeros(1), np.array([8.0]),
+                                     psi0=0.5, slope=-8.0, params=params)
     assert ok and tau < 1.0
     assert psi <= 0.5 + params.sigma * tau * (-8.0)
 
@@ -207,9 +213,9 @@ def test_line_search_backtracks():
 def test_line_search_stall_on_ascent():
     params = PenaltyParams(alpha=1.0)
     # merit jumps up for every nonzero step, so no halving can succeed
-    merit = lambda V: np.where(V[:, 0] != 0.0, 2.0, 1.0)
-    tau, psi, ok = line_search(merit, np.zeros(1), np.ones(1),
-                               psi0=1.0, slope=-1.0, params=params)
+    evaluate = lambda V: (np.where(V[:, :1] != 0.0, 2.0, np.sqrt(2.0)), V)
+    tau, psi, ok, _, _ = line_search(evaluate, np.zeros(1), np.ones(1),
+                                     psi0=1.0, slope=-1.0, params=params)
     assert not ok
 
 
@@ -339,7 +345,7 @@ def test_singular_unrecoverable_on_merit_stationary_nonroot():
 
     u0 = default_start(pr, [1.2], [0.5])
 
-    def fake_direction(problem, u, params_):
+    def fake_direction(problem, phi, X, params_):
         g = np.zeros(problem.size)
         return -g, g, "gradient"
 

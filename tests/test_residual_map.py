@@ -1,15 +1,18 @@
 """The residual map against Phi written out block by block.
 
 reference_phi holds the formulas eval_residual and selection_arguments
-evaluated before Phi was held as one sparse affine map per problem.
+evaluated before Phi was held as one sparse affine map per problem;
+reference_map builds the map with one scipy.sparse block per entry of
+the block table.
 """
 
 import numpy as np
+import scipy.sparse
 
 from ssnbilevel import (PenaltyParams, alpha_continuation, build_problem,
                         default_start, eval_residual_vec, preset, residual,
                         solve)
-from ssnbilevel.problem import unpack
+from ssnbilevel.problem import block_slices, unpack
 
 from conftest import (make_ex_box, make_ex_fractional, random_instance,
                       random_iterate)
@@ -74,6 +77,61 @@ def test_map_matches_block_formulas(workloads):
             assert [a.shape for a in got_X] == [a.shape for a in Xs], name
             assert (np.abs(np.concatenate(got_X) - X).max()
                     <= 1e-13 * max(1.0, np.abs(X).max())), name
+
+
+def reference_map(problem):
+    """residual.residual_map with every table entry made a coo block."""
+    n, l, m, N = problem.n, problem.l, problem.m, problem.size
+    lengths = (n, n, l, l, l, n, l, m, l, l, l, l)
+    order = residual.ResidualBlocks.ORDER
+    size = dict(zip(order, lengths))
+    start = dict(zip(order, np.cumsum((0,) + lengths)))
+    cols = block_slices(n, l, m)
+    offset = np.zeros(2 * N)
+    i, j, v, part = [], [], [], []
+    for rb, cb, mat, p in residual._table(problem):
+        row = start[rb] + N * (p != residual.CONST)
+        if cb is None:
+            offset[row:row + size[rb]] = mat
+            continue
+        block = scipy.sparse.coo_array(mat * scipy.sparse.eye_array(size[rb])
+                                       if np.isscalar(mat) else mat)
+        i.append(start[rb] + block.row)
+        j.append(cols[cb].start + block.col)
+        v.append(block.data)
+        part.append(np.full(block.nnz, p))
+    i, j, v, part = map(np.concatenate, (i, j, v, part))
+    stacked = scipy.sparse.csr_array(
+        (v, (i + N * (part != residual.CONST), j)), shape=(2 * N, N))
+    stacked.sort_indices()
+    keys, position = np.unique(i * N + j, return_inverse=True)
+    coef = np.zeros((3, keys.size))
+    coef[part, position] = v
+    rows = keys // N
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
+    return residual.ResidualMap(
+        lengths=lengths, head=int(start["comp1"]), stacked=stacked,
+        offset=offset, indices=keys % N, indptr=indptr, rows=rows, coef=coef)
+
+
+def _same_array(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_map_equals_coo_block_build(workloads):
+    """Every field of the map, dtypes included, is the one the coo block
+    build gives."""
+    for name, problem, _, _ in _cases(workloads):
+        got, ref = residual.residual_map(problem), reference_map(problem)
+        assert got.lengths == ref.lengths and got.head == ref.head, name
+        for field in ("data", "indices", "indptr"):
+            assert _same_array(getattr(got.stacked, field),
+                               getattr(ref.stacked, field)), (name, field)
+        assert got.stacked.shape == ref.stacked.shape, name
+        for field in ("offset", "indices", "indptr", "rows", "coef"):
+            assert _same_array(getattr(got, field),
+                               getattr(ref, field)), (name, field)
 
 
 def test_map_is_built_once_per_problem(monkeypatch):
