@@ -10,7 +10,7 @@ from .residual import (eval_pi, eval_residual, eval_residual_vec, eval_merit,
 from .jacobian import (generalized_element, smoothed_residual,
                        smoothed_jacobian, merit_gradient, fd_jacobian)
 from .newton import (solve, alpha_continuation, default_start, SolveReport,
-                     newton_direction, line_search)
+                     newton_element, newton_direction, line_search)
 from .regularity import (index_sets, check_theorem_invertibleA,
                          check_theorem_fullrank_yy, probe_nonsingularity,
                          certify)
@@ -28,7 +28,7 @@ __all__ = [
     "generalized_element", "smoothed_residual", "smoothed_jacobian",
     "merit_gradient", "fd_jacobian",
     "solve", "alpha_continuation", "default_start", "SolveReport",
-    "newton_direction", "line_search",
+    "newton_element", "newton_direction", "line_search",
     "index_sets", "check_theorem_invertibleA", "check_theorem_fullrank_yy",
     "probe_nonsingularity", "certify",
     "Polyhedron", "enumerate_vertices", "lower_level_argmin",

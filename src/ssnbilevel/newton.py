@@ -1,15 +1,20 @@
 """Globalized semismooth Newton method on the penalized residual.
 
-Each iteration builds one element C of the generalized Jacobian of Phi
-at the current iterate (weight 1/2 on kink rows) as a sparse matrix and
-first screens its nonzero pattern: when the pattern admits no perfect
-matching between rows and columns (a maximum transversal, Duff 1981,
-leaves a row unmatched), C is singular for any values of its entries
-and is not factored.  Otherwise C is densified and C d = -Phi(u) is
-solved by LU with partial pivoting.  The step is kept when the
-factorization is numerically nonsingular (every pivot above 1e-12
-times the matrix infinity norm), d is finite and d passes the descent
-test
+Each iteration takes one element C of the generalized Jacobian of Phi
+at the current iterate (weight 1/2 on kink rows), the one that the
+selection weights p of the selection arguments X pick.  With alpha and
+t fixed for a solve, C depends on p alone, so the element is built
+only when p differs from the previous iteration's, and kept otherwise
+with its screen verdict and factors.  Building it assembles C as a
+sparse matrix and first screens its nonzero pattern: when the pattern
+admits no perfect matching between rows and columns (a maximum
+transversal, Duff 1981, leaves a row unmatched), C is singular for any
+values of its entries and is not factored.  Otherwise C is densified
+and factored by LU with partial pivoting, and the factors are kept
+when the factorization is numerically nonsingular (every pivot above
+1e-12 times the matrix infinity norm).  At every iteration the kept
+factors solve C d = -Phi(u), and the step is taken when d is finite
+and passes the descent test
 
     grad_Psi(u)^T d <= -rho * ||d||^p_exp,
 
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .jacobian import assemble, selection_weights
@@ -58,35 +64,66 @@ STATUS_SCHEDULE_EXHAUSTED = "schedule_exhausted"
 STATUS_NONFINITE = "nonfinite_residual"
 
 
-def newton_direction(problem, phi, X, params):
-    """Direction for one iteration from Phi and the selection arguments
-    X at the current point.  Returns (d, grad_psi, used).
+@dataclass(frozen=True)
+class NewtonElement:
+    """The generalized-Jacobian element that the selection weights p
+    pick, with what a direction needs of it.
 
-    C is the element X selects, with weight 1/2 on kink rows, as the
-    CSR matrix of :func:`~ssnbilevel.jacobian.generalized_element`.
-    used is 'newton' when the generalized-Jacobian element C gives a
-    nonsingular system whose finite solution passes the descent test
+    matrix is C as the CSR matrix of
+    :func:`~ssnbilevel.jacobian.generalized_element`, counts its stored
+    entries per row, and factors the LU factors of C when C passed the
+    structural screen and the pivot test, else None.  With alpha and t
+    fixed, all of them depend on p alone.
+    """
+
+    p: np.ndarray
+    matrix: scipy.sparse.csr_array
+    counts: np.ndarray
+    factors: tuple | None
+
+
+def newton_element(problem, p, params):
+    """Build, screen and factor the element with selection weights p
+    (weight 1/2 on kink rows).
+
+    C is factored only when its nonzero pattern admits a perfect
+    matching, and its factors are kept only when every pivot exceeds
+    PIVOT_REL_TOL times the infinity norm of C.
+    """
+    C = assemble(problem, params, (p,))
+    factors = None
+    # a row left unmatched makes C singular whatever its values
+    if not (maximum_bipartite_matching(C, perm_type="column") < 0).any():
+        # a perfect matching leaves no row empty, as reduceat requires
+        inf_norm = np.add.reduceat(np.abs(C.data), C.indptr[:-1]).max()
+        with warnings.catch_warnings():
+            # exact singularity is detected by the pivot test below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(C.toarray(), check_finite=False)
+        if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
+            factors = (lu, piv)
+    return NewtonElement(p=p, matrix=C, counts=np.diff(C.indptr),
+                         factors=factors)
+
+
+def newton_direction(phi, element, params):
+    """Direction for one iteration from Phi at the current point and
+    the element its selection arguments pick (:func:`newton_element`).
+    Returns (d, grad_psi, used).
+
+    used is 'newton' when the element's factors give a finite solution
+    of C d = -Phi that passes the descent test
     grad_Psi^T d <= -rho ||d||^p; otherwise 'gradient' with
     d = -grad_psi.  grad_psi = C^T Phi is the classical merit gradient
-    wherever Phi is differentiable.  C is factored only when its
-    nonzero pattern admits a perfect matching.
+    wherever Phi is differentiable.
     """
-    C = assemble(problem, params, (selection_weights(X),))
+    C = element.matrix
     # C^T phi summed in CSR order, as the product with C.T sums it
     grad_psi = np.bincount(C.indices,
-                           C.data * np.repeat(phi, np.diff(C.indptr)),
-                           minlength=problem.size)
-    # a row left unmatched makes C singular whatever its values
-    if (maximum_bipartite_matching(C, perm_type="column") < 0).any():
-        return -grad_psi, grad_psi, "gradient"
-    # a perfect matching leaves no row empty, as reduceat requires
-    inf_norm = np.add.reduceat(np.abs(C.data), C.indptr[:-1]).max()
-    with warnings.catch_warnings():
-        # exact singularity is detected by the pivot test below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(C.toarray(), check_finite=False)
-    if np.abs(np.diag(lu)).min() > PIVOT_REL_TOL * inf_norm:
-        d = scipy.linalg.lu_solve((lu, piv), -phi, check_finite=False)
+                           C.data * np.repeat(phi, element.counts),
+                           minlength=C.shape[1])
+    if element.factors is not None:
+        d = scipy.linalg.lu_solve(element.factors, -phi, check_finite=False)
         if (np.all(np.isfinite(d)) and float(grad_psi @ d)
                 <= -params.rho * np.linalg.norm(d) ** params.p_exp):
             return d, grad_psi, "newton"
@@ -108,7 +145,7 @@ def line_search(evaluate, vec, direction, psi0, slope, params):
     trial.
     """
     # tau_j = tau_{j-1} * beta: one rounded product per trial
-    taus = np.cumprod([1.0] + [params.beta] * (MAX_HALVINGS + 1))
+    taus = np.cumprod(np.r_[1.0, np.full(MAX_HALVINGS + 1, params.beta)])
     for lo, hi in ((0, TRIAL_BLOCK), (TRIAL_BLOCK, MAX_HALVINGS + 1)):
         block = taus[lo:hi]
         phi, X = evaluate(vec + block[:, None] * direction)
@@ -206,6 +243,7 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
     # here for u0, then from the line-search row that accepted it
     u = u0.copy()
     phi, X = evaluate(u.vec)
+    element = None  # the element of the last direction's selection
     res = float(np.linalg.norm(phi))
     psi = 0.5 * res * res
     iterates = [(0, res, psi, "initial", 0.0)]
@@ -221,7 +259,11 @@ def solve(problem: BilevelProblem, u0: IterateU, params: PenaltyParams,
             status = STATUS_NONFINITE
             message = f"residual not finite at the start point: {res}"
             break
-        d, grad_psi, kind = newton_direction(problem, phi, X, params)
+        p = selection_weights(X)
+        if element is None or not np.array_equal(p, element.p):
+            element = None  # frees the old factors before the new LU
+            element = newton_element(problem, p, params)
+        d, grad_psi, kind = newton_direction(phi, element, params)
         if kind == "newton":
             slope = float(grad_psi @ d)
         else:

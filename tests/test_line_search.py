@@ -11,8 +11,8 @@ import pytest
 
 from ssnbilevel import (PenaltyParams, build_problem, default_start,
                         eval_merit, eval_residual_vec, generalized_element,
-                        newton_direction, preset, residual_and_selection,
-                        solve)
+                        newton_direction, newton_element, preset,
+                        residual_and_selection, solve)
 from ssnbilevel import newton as newton_mod
 from ssnbilevel.jacobian import selection_weights
 from ssnbilevel.newton import MAX_HALVINGS, TRIAL_BLOCK, line_search
@@ -96,8 +96,9 @@ def test_element_and_gradient_unchanged(workloads):
                 assert np.array_equal(p, selection_weights(X)), name
                 assert np.array_equal(ties, X == 0), name
             phi = eval_residual_vec(problem, u, params)
-            _, grad, _ = newton_direction(
-                problem, *residual_and_selection(problem, u, params), params)
+            phi_u, X = residual_and_selection(problem, u, params)
+            _, grad, _ = newton_direction(phi_u, newton_element(
+                problem, selection_weights(X), params), params)
             assert np.array_equal(grad, element.sparse.T @ phi), name
     # kinks: an iterate with every selection argument exactly zero
     problem, params = random_instance(rng), PenaltyParams(alpha=3.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ import scipy.sparse
 from ssnbilevel import (BilevelProblem, PenaltyParams, alpha_continuation,
                         certify, default_start, eval_residual_vec,
                         generalized_element, merit_gradient, newton_direction,
-                        quadratic_objective, residual_and_selection, solve,
-                        toll)
+                        newton_element, quadratic_objective,
+                        residual_and_selection, solve, toll)
 from ssnbilevel import newton as newton_mod
 from ssnbilevel import regularity
-from ssnbilevel.jacobian import JacobianElement
+from ssnbilevel.jacobian import JacobianElement, selection_weights
 from ssnbilevel.newton import PIVOT_REL_TOL, line_search
 from ssnbilevel.problem import pack, unpack
 
@@ -24,9 +25,11 @@ from conftest import (make_ex_box, make_ex_fractional, random_instance,
 
 
 def _direction(problem, u, params):
-    """newton_direction from Phi and X at the iterate u."""
-    return newton_direction(problem, *residual_and_selection(problem, u,
-                                                             params), params)
+    """newton_direction from Phi at the iterate u and the element its X
+    selects."""
+    phi, X = residual_and_selection(problem, u, params)
+    return newton_direction(
+        phi, newton_element(problem, selection_weights(X), params), params)
 
 
 def test_direction_near_root_is_newton():
@@ -62,9 +65,11 @@ def _counted(calls, key, fn):
 
 
 def test_direction_builds_and_factors_one_element(monkeypatch):
-    """A singular element is not retried: one direction call assembles
-    one element.  Its simplex rows leave the pattern without a perfect
-    matching, so it is not factored either, and the method falls back."""
+    """A singular element is not retried: one newton_element call
+    assembles one element.  Its simplex rows leave the pattern without a
+    perfect matching, so it is not factored either, and the method falls
+    back.  An element that passes is factored once, and the directions
+    taken from it assemble and factor nothing more."""
     pr = make_ex_fractional()
     params = PenaltyParams(alpha=2.0)
     u = root_ex_fractional(pr, 2.0)
@@ -75,10 +80,51 @@ def test_direction_builds_and_factors_one_element(monkeypatch):
                         _counted(calls, "element", newton_mod.assemble))
     monkeypatch.setattr(scipy.linalg, "lu_factor",
                         _counted(calls, "lu", scipy.linalg.lu_factor))
-    d, grad, used = _direction(pr, u, params)
+    phi, X = residual_and_selection(pr, u, params)
+    element = newton_element(pr, selection_weights(X), params)
+    assert calls == {"element": 1, "lu": 0}
+    assert element.factors is None
+    d, grad, used = newton_direction(phi, element, params)
     assert calls == {"element": 1, "lu": 0}
     assert used == "gradient"
     assert np.array_equal(d, -grad)
+    v = pack(root_ex_fractional(pr, 2.0))
+    rng = np.random.default_rng(0)
+    near = [unpack(v + 1e-4 * rng.standard_normal(pr.size), 1, 1, 2)
+            for _ in range(2)]
+    phis, Xs = zip(*(residual_and_selection(pr, w, params) for w in near))
+    assert np.array_equal(selection_weights(Xs[0]), selection_weights(Xs[1]))
+    element = newton_element(pr, selection_weights(Xs[0]), params)
+    assert calls == {"element": 2, "lu": 1}
+    for phi_w in phis:
+        assert newton_direction(phi_w, element, params)[2] == "newton"
+    assert calls == {"element": 2, "lu": 1}
+
+
+def test_old_factors_are_freed_before_the_next_lu(monkeypatch):
+    """A solve holds one dense LU at a time: when it factors a new
+    element, the factors of every earlier one have been released."""
+    lu_factor = scipy.linalg.lu_factor
+    factored, stale = [], []
+
+    def tracked(*args, **kwargs):
+        stale.append(sum(ref() is not None for ref in factored))
+        lu, piv = lu_factor(*args, **kwargs)
+        factored.append(weakref.ref(lu))
+        return lu, piv
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", tracked)
+    rng = np.random.default_rng(3)
+    params = PenaltyParams(alpha=2.0)
+    most = 0
+    for pr in (make_ex_box(), make_ex_fractional()):
+        for _ in range(10):
+            u0 = unpack(rng.standard_normal(pr.size), pr.n, pr.l, pr.m)
+            before = len(factored)
+            solve(pr, u0, params)
+            most = max(most, len(factored) - before)
+    assert most >= 3
+    assert stale == [0] * len(factored)
 
 
 def test_direction_pivot_test_rejects_matched_singular_pattern(monkeypatch):
@@ -345,8 +391,8 @@ def test_singular_unrecoverable_on_merit_stationary_nonroot():
 
     u0 = default_start(pr, [1.2], [0.5])
 
-    def fake_direction(problem, phi, X, params_):
-        g = np.zeros(problem.size)
+    def fake_direction(phi, element, params_):
+        g = np.zeros(pr.size)
         return -g, g, "gradient"
 
     original = newton_mod.newton_direction

@@ -17,14 +17,17 @@ import scipy.linalg
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ssnbilevel import (PenaltyParams, default_start, eval_pi,
-                        eval_residual_vec, generalized_element, solve)
+                        eval_residual_vec, generalized_element,
+                        residual_and_selection, solve)
 from ssnbilevel import newton as newton_mod
+from ssnbilevel.jacobian import selection_weights
 from ssnbilevel.newton import PIVOT_REL_TOL, SolveReport
 from ssnbilevel.problem import unpack
 
 from conftest import make_ex_box
 from test_line_search import (_one_at_a_time, _starts,
                               reference_line_search)
+from test_newton import _counted
 
 
 def reference_direction(problem, u, params):
@@ -112,6 +115,38 @@ def test_solves_equal_the_reference_loop(workloads):
     assert warm == 32
     assert kinds == {"newton", "gradient"}
     assert {"converged", "max_iter"} <= statuses
+
+
+def test_one_element_per_run_of_equal_selections(workloads, monkeypatch):
+    """solve builds the element once per maximal run of iterations whose
+    selection weights are equal, and makes as many LU factorizations as
+    the loop that builds the element at every iterate."""
+    calls = {"assemble": 0, "lu": 0}
+    monkeypatch.setattr(newton_mod, "assemble",
+                        _counted(calls, "assemble", newton_mod.assemble))
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        _counted(calls, "lu", scipy.linalg.lu_factor))
+    kept = factorizations = 0
+    for name, problem, params, u0 in _starts(workloads):
+        points = [u0]
+        calls.update(assemble=0, lu=0)
+        rep = solve(problem, u0, params,
+                    callback=lambda k, u, *_: points.append(u))
+        built, factored = calls["assemble"], calls["lu"]
+        # a stalled search and a vanished gradient follow a direction
+        directions = rep.iterations + (rep.status in (
+            "linesearch_stall", "singular_unrecoverable"))
+        weights = [selection_weights(residual_and_selection(
+            problem, u, params)[1]) for u in points[:directions]]
+        runs = sum(k == 0 or not np.array_equal(weights[k], weights[k - 1])
+                   for k in range(directions))
+        assert built == runs, name
+        calls["lu"] = 0
+        reference_solve(problem, u0, params)
+        assert factored == calls["lu"], name
+        kept += directions - runs
+        factorizations += factored
+    assert kept > 0 and factorizations > 0
 
 
 class _Counted:
